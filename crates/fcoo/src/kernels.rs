@@ -29,7 +29,8 @@ use crate::modes::TensorOp;
 use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::scan::{block_segscan_cycles, warp_segscan_cycles};
 use gpu_sim::stats::BlockStats;
-use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
+use gpu_sim::{DeviceConfig, GpuDevice, KernelStats, OutOfMemory};
+use std::collections::HashMap;
 use tensor_core::{DenseMatrix, SemiSparseTensor};
 
 /// Warp-shuffle operations each BF-COO gather run spends demultiplexing the
@@ -202,6 +203,7 @@ pub(crate) fn spttm_into_with_layout(
         r,
         out,
         r,
+        &[ColumnAccess::of(u, 1)],
         factor_ws,
         |seg| seg,
         None,
@@ -307,6 +309,10 @@ pub(crate) fn spmttkrp_into_with_layout(
         .iter()
         .map(|f| f.rows() * f.cols() * 4)
         .sum();
+    let accesses: Vec<ColumnAccess<'_>> = product_factors
+        .iter()
+        .map(|f| ColumnAccess::of(f, 1))
+        .collect();
     run_unified(
         device,
         fcoo,
@@ -315,6 +321,7 @@ pub(crate) fn spmttkrp_into_with_layout(
         r,
         out,
         r,
+        &accesses,
         factor_ws,
         |seg| slice_of_seg[seg] as usize,
         Some(&fcoo.segment_coords[0]),
@@ -473,6 +480,11 @@ pub(crate) fn spttmc_norder_into_with_layout(
         .map(|f| f.rows() * f.cols() * 4)
         .sum();
     let digit = |col: usize, p: usize| (col / strides[p]) % product_factors[p].cols();
+    let accesses: Vec<ColumnAccess<'_>> = product_factors
+        .iter()
+        .zip(&strides)
+        .map(|(f, &place)| ColumnAccess::of(f, place))
+        .collect();
     run_unified(
         device,
         fcoo,
@@ -481,6 +493,7 @@ pub(crate) fn spttmc_norder_into_with_layout(
         columns,
         out,
         columns,
+        &accesses,
         factor_ws,
         |seg| slice_of_seg[seg] as usize,
         Some(&fcoo.segment_coords[0]),
@@ -508,14 +521,105 @@ pub(crate) fn spttmc_norder_into_with_layout(
     )
 }
 
+/// A row-major array (a factor matrix or the output) as the unified kernel
+/// addresses it per output column: block column `col` touches word
+/// `(col / place) % stride` of every `stride`-float row it visits — the
+/// column itself (`place = 1`) for the output and for SpTTM and SpMTTKRP
+/// factors, one Kronecker digit for SpTTMc factors.
+#[derive(Clone, Copy)]
+struct ColumnAccess<'a> {
+    buffer: &'a DeviceBuffer<f32>,
+    stride: usize,
+    place: usize,
+}
+
+impl<'a> ColumnAccess<'a> {
+    fn of(matrix: &'a DeviceMatrix, place: usize) -> Self {
+        ColumnAccess {
+            buffer: matrix.buffer(),
+            stride: matrix.cols(),
+            place,
+        }
+    }
+
+    fn word(&self, col: usize) -> usize {
+        (col / self.place) % self.stride
+    }
+}
+
+/// The column-class map of one unified launch (see
+/// [`GpuDevice::launch_columns`]): `class[col]` is the first column whose
+/// blocks narrate exactly what column `col`'s blocks would.
+///
+/// Why a copy is exact: every block simulates a fresh read-only cache, so
+/// a block's [`BlockStats`] are a pure function of its narration sequence
+/// at read-only-line and transaction-sector granularity, plus whether
+/// `bIdy > 0` (the L2-hot tensor stream). Column 0 is therefore always its
+/// own class. Column `col`'s narration differs from another column's only
+/// in the word it touches in each row of the buffers in `accesses`, so
+/// columns `c, c' ≥ 1` share a class exactly when,
+/// in every row of every such buffer, both words fall in the same line and
+/// the same sector. A row's line and sector split depend only on its start
+/// address modulo the granule, and row starts advance by `4·stride` bytes,
+/// so their residues repeat within `granule` rows: those rows cover all.
+fn column_classes(
+    config: &DeviceConfig,
+    columns: usize,
+    accesses: &[ColumnAccess<'_>],
+) -> Vec<usize> {
+    let mut granules = vec![config.readonly_line_bytes, config.transaction_bytes];
+    granules.dedup();
+    // Per access: every distinct (row-start residue, granule) pair.
+    let residues: Vec<Vec<(u64, u64)>> = accesses
+        .iter()
+        .map(|access| {
+            let rows = access.buffer.len() / access.stride;
+            let mut residues = Vec::new();
+            for &granule in &granules {
+                for row in 0..rows.min(granule) {
+                    let start = access.buffer.addr(row * access.stride);
+                    let residue = (start % granule as u64, granule as u64);
+                    if !residues.contains(&residue) {
+                        residues.push(residue);
+                    }
+                }
+            }
+            residues
+        })
+        .collect();
+    let granules_touched = |col: usize| -> Vec<u64> {
+        accesses
+            .iter()
+            .zip(&residues)
+            .flat_map(|(access, residues)| {
+                let offset = (access.word(col) * 4) as u64;
+                residues
+                    .iter()
+                    .map(move |&(residue, granule)| (residue + offset) / granule)
+            })
+            .collect()
+    };
+    let mut representatives: HashMap<Vec<u64>, usize> = HashMap::new();
+    (0..columns)
+        .map(|col| match col {
+            0 => 0,
+            _ => *representatives.entry(granules_touched(col)).or_insert(col),
+        })
+        .collect()
+}
+
 /// The shared unified kernel skeleton.
 ///
 /// `row_of_seg` maps a segment ordinal to its output row; `coord_buffer`, if
 /// given, is the device array those lookups read (charged on finalization).
 /// `product` computes one non-zero's full contribution for one column;
-/// `factor_addrs` lists the factor-matrix addresses that contribution reads;
-/// `factor_ws` is the total bytes of those (reused) factor matrices, which
-/// bounds whether misses stay in the device L2.
+/// `factor_addrs` lists the factor-matrix addresses that contribution reads
+/// and `factor_accesses` describes the same reads per column, for the
+/// column classes; `factor_ws` is the total bytes of those (reused) factor
+/// matrices, which bounds whether misses stay in the device L2.
+///
+/// Only one block column per column class narrates, and boundary carries
+/// fold into `out` in launch order (see [`GpuDevice::launch_columns`]).
 #[allow(clippy::too_many_arguments)]
 fn run_unified<RowOf, Product, Addrs>(
     device: &GpuDevice,
@@ -525,6 +629,7 @@ fn run_unified<RowOf, Product, Addrs>(
     columns: usize,
     out: &DeviceBuffer<f32>,
     out_stride: usize,
+    factor_accesses: &[ColumnAccess<'_>],
     factor_ws: usize,
     row_of_seg: RowOf,
     coord_buffer: Option<&DeviceBuffer<u32>>,
@@ -545,9 +650,26 @@ where
     // Shared memory: one carry (value + open-flag word) per warp for the
     // block-level segmented-scan combine.
     let shared_bytes = (cfg.block_size / 32) * 8;
-    let mut stats =
-        device.launch_with_shared((grid_x, columns), cfg.block_size, shared_bytes, |ctx| {
+    let out_access = ColumnAccess {
+        buffer: out,
+        stride: out_stride,
+        place: 1,
+    };
+    let accesses: Vec<ColumnAccess<'_>> = factor_accesses
+        .iter()
+        .copied()
+        .chain([out_access])
+        .collect();
+    let class = column_classes(device.config(), columns, &accesses);
+    let mut stats = device.launch_columns(
+        (grid_x, columns),
+        cfg.block_size,
+        shared_bytes,
+        Some(&class),
+        Some(out),
+        |ctx| {
             let col = ctx.block_y();
+            let narrating = ctx.narrating();
             // Column-sibling blocks resident on the same SM read adjacent
             // columns of the same factor rows: one read-only cache line (8
             // floats) serves up to 8 of them, so each block is charged its
@@ -572,114 +694,116 @@ where
                 let warp_nnz_end = ((warp_first_thread + warp) * threadlen).min(nnz);
                 let span = warp_nnz_end - warp_nnz_start;
 
-                // Streaming reads of the warp's contiguous tensor region:
-                // values, product-mode indices, bit flags, partition metadata.
-                // The grid places all column blocks of one partition range
-                // adjacently, so the bIdy = 0 block streams the region from
-                // DRAM and its co-resident column siblings hit in L2 (the
-                // "data reuse" optimization of §IV-D).
-                let l2_hot = ctx.block_y() > 0;
-                let stream = |ctx: &mut gpu_sim::BlockCtx<'_>, addr: u64, bytes: usize| {
-                    if l2_hot {
-                        ctx.read_global_range_l2(addr, bytes);
-                    } else {
-                        ctx.read_global_range(addr, bytes);
+                if narrating {
+                    // Streaming reads of the warp's contiguous tensor region:
+                    // values, product-mode indices, bit flags, partition metadata.
+                    // The grid places all column blocks of one partition range
+                    // adjacently, so the bIdy = 0 block streams the region from
+                    // DRAM and its co-resident column siblings hit in L2 (the
+                    // "data reuse" optimization of §IV-D).
+                    let l2_hot = ctx.block_y() > 0;
+                    let stream = |ctx: &mut gpu_sim::BlockCtx<'_>, addr: u64, bytes: usize| {
+                        if l2_hot {
+                            ctx.read_global_range_l2(addr, bytes);
+                        } else {
+                            ctx.read_global_range(addr, bytes);
+                        }
+                    };
+                    stream(ctx, fcoo.values.addr(warp_nnz_start), span * 4);
+                    for indices in &fcoo.product_indices {
+                        stream(ctx, indices.addr(warp_nnz_start), span * 4);
                     }
-                };
-                stream(ctx, fcoo.values.addr(warp_nnz_start), span * 4);
-                for indices in &fcoo.product_indices {
-                    stream(ctx, indices.addr(warp_nnz_start), span * 4);
-                }
-                // The bit-flag bytes this warp touches: its own non-zeros plus
-                // the one-byte lookahead for the head flag at `pend` (clamped to
-                // the last flag byte — `head(nnz)` is never read).
-                let bf_first = warp_nnz_start / 8;
-                let bf_last = warp_nnz_end.min(nnz - 1) / 8;
-                stream(ctx, fcoo.bf.addr(bf_first), bf_last - bf_first + 1);
-                let threads_here = warp.min(partitions - warp_first_thread);
-                stream(
-                    ctx,
-                    fcoo.partition_first_segment.addr(warp_first_thread),
-                    threads_here * 4,
-                );
-                let sf_first = warp_first_thread / 8;
-                let sf_last = (warp_first_thread + threads_here - 1) / 8;
-                stream(ctx, fcoo.sf.addr(sf_first), sf_last - sf_first + 1);
-                if let GatherLayout::Bucketed { buckets } = layout {
-                    // BF-COO also streams its per-run distinct-row counts,
-                    // one array per product mode. `warp_nnz_start` is a
-                    // multiple of 32 (warps start on 32-thread boundaries),
-                    // so the warp's span aligns with the global runs.
-                    let run_first = warp_nnz_start / 32;
-                    let runs = span.div_ceil(32);
-                    for bucket in buckets {
-                        stream(ctx, bucket.addr(run_first), runs * 4);
-                    }
-                }
-
-                // Factor-matrix reads (scattered by product-mode indices →
-                // read-only cache territory) and the product FLOPs. The
-                // strided schedule batches lane-strided addresses per
-                // threadlen iteration; the bucketed schedule batches each
-                // aligned 32-non-zero run per factor, so consecutive
-                // non-zeros sharing a segment row collapse onto the same
-                // cache lines (the load balancing of arXiv:1904.03329).
-                match layout {
-                    GatherLayout::Strided => {
-                        for i in 0..threadlen {
-                            ro_addrs.clear();
-                            for lane in 0..warp {
-                                let nz = (warp_first_thread + lane) * threadlen + i;
-                                if nz < nnz {
-                                    factor_addrs(nz, col, &mut ro_addrs);
-                                }
-                            }
-                            if ro_addrs.is_empty() {
-                                break;
-                            }
-                            if cfg.use_rocache {
-                                ctx.read_readonly_ws(&ro_addrs, factor_ws);
-                            } else {
-                                ctx.read_global_ws(&ro_addrs, factor_ws);
-                            }
-                            ctx.compute(compute_per_element);
+                    // The bit-flag bytes this warp touches: its own non-zeros plus
+                    // the one-byte lookahead for the head flag at `pend` (clamped to
+                    // the last flag byte — `head(nnz)` is never read).
+                    let bf_first = warp_nnz_start / 8;
+                    let bf_last = warp_nnz_end.min(nnz - 1) / 8;
+                    stream(ctx, fcoo.bf.addr(bf_first), bf_last - bf_first + 1);
+                    let threads_here = warp.min(partitions - warp_first_thread);
+                    stream(
+                        ctx,
+                        fcoo.partition_first_segment.addr(warp_first_thread),
+                        threads_here * 4,
+                    );
+                    let sf_first = warp_first_thread / 8;
+                    let sf_last = (warp_first_thread + threads_here - 1) / 8;
+                    stream(ctx, fcoo.sf.addr(sf_first), sf_last - sf_first + 1);
+                    if let GatherLayout::Bucketed { buckets } = layout {
+                        // BF-COO also streams its per-run distinct-row counts,
+                        // one array per product mode. `warp_nnz_start` is a
+                        // multiple of 32 (warps start on 32-thread boundaries),
+                        // so the warp's span aligns with the global runs.
+                        let run_first = warp_nnz_start / 32;
+                        let runs = span.div_ceil(32);
+                        for bucket in buckets {
+                            stream(ctx, bucket.addr(run_first), runs * 4);
                         }
                     }
-                    GatherLayout::Bucketed { .. } => {
-                        let runs = span.div_ceil(32);
-                        for r in 0..runs {
-                            let run_start = warp_nnz_start + r * 32;
-                            let run_end = (run_start + 32).min(warp_nnz_end);
-                            ro_addrs.clear();
-                            for nz in run_start..run_end {
-                                factor_addrs(nz, col, &mut ro_addrs);
-                            }
-                            if ro_addrs.is_empty() {
-                                break;
-                            }
-                            // Each non-zero pushed the same per-factor
-                            // address group; demux into one ≤32-address
-                            // batch per factor so the read-only cache's
-                            // line-dedup window sees a single factor's rows.
-                            let live = run_end - run_start;
-                            let per_nz = ro_addrs.len() / live;
-                            for f in 0..per_nz {
-                                factor_batch.clear();
-                                factor_batch.extend(
-                                    ro_addrs
-                                        .iter()
-                                        .enumerate()
-                                        .filter(|(j, _)| j % per_nz == f)
-                                        .map(|(_, &a)| a),
-                                );
-                                if cfg.use_rocache {
-                                    ctx.read_readonly_ws(&factor_batch, factor_ws);
-                                } else {
-                                    ctx.read_global_ws(&factor_batch, factor_ws);
+
+                    // Factor-matrix reads (scattered by product-mode indices →
+                    // read-only cache territory) and the product FLOPs. The
+                    // strided schedule batches lane-strided addresses per
+                    // threadlen iteration; the bucketed schedule batches each
+                    // aligned 32-non-zero run per factor, so consecutive
+                    // non-zeros sharing a segment row collapse onto the same
+                    // cache lines (the load balancing of arXiv:1904.03329).
+                    match layout {
+                        GatherLayout::Strided => {
+                            for i in 0..threadlen {
+                                ro_addrs.clear();
+                                for lane in 0..warp {
+                                    let nz = (warp_first_thread + lane) * threadlen + i;
+                                    if nz < nnz {
+                                        factor_addrs(nz, col, &mut ro_addrs);
+                                    }
                                 }
+                                if ro_addrs.is_empty() {
+                                    break;
+                                }
+                                if cfg.use_rocache {
+                                    ctx.read_readonly_ws(&ro_addrs, factor_ws);
+                                } else {
+                                    ctx.read_global_ws(&ro_addrs, factor_ws);
+                                }
+                                ctx.compute(compute_per_element);
                             }
-                            ctx.shuffle(BUCKET_SHUFFLE_OPS);
-                            ctx.compute(compute_per_element);
+                        }
+                        GatherLayout::Bucketed { .. } => {
+                            let runs = span.div_ceil(32);
+                            for r in 0..runs {
+                                let run_start = warp_nnz_start + r * 32;
+                                let run_end = (run_start + 32).min(warp_nnz_end);
+                                ro_addrs.clear();
+                                for nz in run_start..run_end {
+                                    factor_addrs(nz, col, &mut ro_addrs);
+                                }
+                                if ro_addrs.is_empty() {
+                                    break;
+                                }
+                                // Each non-zero pushed the same per-factor
+                                // address group; demux into one ≤32-address
+                                // batch per factor so the read-only cache's
+                                // line-dedup window sees a single factor's rows.
+                                let live = run_end - run_start;
+                                let per_nz = ro_addrs.len() / live;
+                                for f in 0..per_nz {
+                                    factor_batch.clear();
+                                    factor_batch.extend(
+                                        ro_addrs
+                                            .iter()
+                                            .enumerate()
+                                            .filter(|(j, _)| j % per_nz == f)
+                                            .map(|(_, &a)| a),
+                                    );
+                                    if cfg.use_rocache {
+                                        ctx.read_readonly_ws(&factor_batch, factor_ws);
+                                    } else {
+                                        ctx.read_global_ws(&factor_batch, factor_ws);
+                                    }
+                                }
+                                ctx.shuffle(BUCKET_SHUFFLE_OPS);
+                                ctx.compute(compute_per_element);
+                            }
                         }
                     }
                 }
@@ -707,6 +831,7 @@ where
                                 // Previous segment closed by this head: its end
                                 // is inside the partition.
                                 finalize_segment(
+                                    ctx,
                                     cfg,
                                     out,
                                     out_stride,
@@ -742,6 +867,7 @@ where
                         // inside and the next partition starts a new segment.
                         let ends_exclusive = pend == nnz || fcoo.head(pend);
                         finalize_segment(
+                            ctx,
                             cfg,
                             out,
                             out_stride,
@@ -760,7 +886,7 @@ where
 
                 // Charge the warp-level segmented-scan stages and the batched
                 // output traffic.
-                if cfg.use_segscan {
+                if cfg.use_segscan && narrating {
                     ctx.compute(warp_segscan_cycles(ctx.config()));
                     for chunk in coord_reads.chunks(warp) {
                         ctx.read_global(chunk);
@@ -786,7 +912,8 @@ where
                     ctx.adjacent_sync();
                 }
             }
-        });
+        },
+    );
     if cfg.use_segscan && !cfg.use_fusion {
         // Unfused variant: boundary carries resolved by a follow-up kernel
         // that re-reads one partial per partition.
@@ -805,10 +932,11 @@ where
 }
 
 /// Finalizes one segment: exclusive segments are written once; boundary
-/// segments are accumulated atomically (functionally) while the cost model
-/// charges them as scan-carried writes when segmented scan is on.
+/// segments are carried into `out` (folded in launch order) while the cost
+/// model charges them as scan-carried writes when segmented scan is on.
 #[allow(clippy::too_many_arguments)]
 fn finalize_segment<RowOf: Fn(usize) -> usize>(
+    ctx: &mut gpu_sim::BlockCtx<'_>,
     cfg: &LaunchConfig,
     out: &DeviceBuffer<f32>,
     out_stride: usize,
@@ -834,7 +962,7 @@ fn finalize_segment<RowOf: Fn(usize) -> usize>(
             // this output column.
             unsafe { out.write(index, sum) };
         } else {
-            out.atomic_add_f32(index, sum);
+            ctx.carry_add_f32(index, sum);
         }
     } else {
         atomic_events.push((index, sum));
@@ -894,6 +1022,85 @@ mod tests {
         let reference = ops::spmttkrp(tensor, mode, &host_refs);
         let diff = result.max_abs_diff(&reference);
         assert!(diff < 1e-3, "mode {mode} diff {diff}");
+    }
+
+    /// A row-major `rows × cols` zero matrix on `device`.
+    fn zero_matrix(device: &GpuDevice, rows: usize, cols: usize) -> DeviceMatrix {
+        DeviceMatrix::upload(device.memory(), &DenseMatrix::zeros(rows, cols)).unwrap()
+    }
+
+    #[test]
+    fn column_classes_match_brute_force_line_and_sector_comparison() {
+        // An SpTTMc-shaped launch: factor A at place `cols_b`, factor B at
+        // place 1, the output at stride `cols_a × cols_b`. Row counts are
+        // odd so row starts take every residue their stride allows.
+        let device = GpuDevice::titan_x();
+        let config = device.config();
+        let (line, sector) = (
+            config.readonly_line_bytes as u64,
+            config.transaction_bytes as u64,
+        );
+        for (cols_a, cols_b) in [(1, 1), (3, 1), (4, 2), (5, 3), (6, 1), (8, 1), (12, 2)] {
+            for (cols_a, cols_b) in [(cols_a, cols_b), (16, cols_b), (20, cols_a)] {
+                let a = zero_matrix(&device, 37, cols_a);
+                let b = zero_matrix(&device, 11, cols_b);
+                let columns = cols_a * cols_b;
+                let out = device.memory().alloc_zeroed::<f32>(9 * columns).unwrap();
+                let accesses = [
+                    ColumnAccess::of(&a, cols_b),
+                    ColumnAccess::of(&b, 1),
+                    ColumnAccess {
+                        buffer: &out,
+                        stride: columns,
+                        place: 1,
+                    },
+                ];
+                let class = column_classes(config, columns, &accesses);
+                let same_granules = |c: usize, d: usize| {
+                    accesses.iter().all(|access| {
+                        (0..access.buffer.len() / access.stride).all(|row| {
+                            let x = access.buffer.addr(row * access.stride + access.word(c));
+                            let y = access.buffer.addr(row * access.stride + access.word(d));
+                            x / line == y / line && x / sector == y / sector
+                        })
+                    })
+                };
+                for c in 0..columns {
+                    assert!(class[c] <= c && class[class[c]] == class[c]);
+                    for d in 0..columns {
+                        let shared = c == d || (c > 0 && d > 0 && same_granules(c, d));
+                        assert_eq!(
+                            class[c] == class[d],
+                            shared,
+                            "{cols_a}×{cols_b}: {c} vs {d}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn spmttkrp_column_classes_at_common_ranks() {
+        // Factors and output at stride R: each 32-byte line holds 8 columns.
+        let device = GpuDevice::titan_x();
+        for (rank, expected) in [
+            (16, vec![0, 1, 1, 1, 1, 1, 1, 1, 8, 8, 8, 8, 8, 8, 8, 8]),
+            (8, vec![0, 1, 1, 1, 1, 1, 1, 1]),
+            (4, vec![0, 1, 1, 1]),
+        ] {
+            let factors = [
+                zero_matrix(&device, 60, rank),
+                zero_matrix(&device, 75, rank),
+            ];
+            let out = zero_matrix(&device, 41, rank);
+            let accesses = [
+                ColumnAccess::of(&factors[0], 1),
+                ColumnAccess::of(&factors[1], 1),
+                ColumnAccess::of(&out, 1),
+            ];
+            assert_eq!(column_classes(device.config(), rank, &accesses), expected);
+        }
     }
 
     #[test]

@@ -106,110 +106,112 @@ pub fn spmttkrp_two_step_unified(
     let partitions = nfibs.div_ceil(threadlen);
     let grid_x = partitions.div_ceil(cfg.block_size);
     let b_ws = b.rows() * b.cols() * 4;
-    let step2_stats = device.launch((grid_x, r), cfg.block_size, |ctx| {
-        let col = ctx.block_y();
-        let warp = ctx.warp_size();
-        let mut y_addrs: Vec<u64> = Vec::with_capacity(warp);
-        let mut b_addrs: Vec<u64> = Vec::with_capacity(warp);
-        let mut write_addrs: Vec<u64> = Vec::with_capacity(warp);
-        for w in 0..ctx.warps_per_block() {
-            let warp_first_thread = ctx.block_x() * ctx.block_threads() + w * warp;
-            if warp_first_thread * threadlen >= nfibs {
-                break;
-            }
-            ctx.begin_warp();
-            // Metadata streams once; the bIdy > 0 siblings hit L2. The
-            // out-row stream is one element wider on each side: the segment
-            // scan compares against the previous partition's last row and
-            // peeks the next partition's first row.
-            let warp_fib_start = warp_first_thread * threadlen;
-            let span = (warp * threadlen).min(nfibs - warp_fib_start);
-            let rows_first = warp_fib_start.saturating_sub(1);
-            let rows_last = (warp_fib_start + span).min(nfibs - 1);
-            if ctx.block_y() == 0 {
-                ctx.read_global_range(
-                    out_rows_dev.addr(rows_first),
-                    (rows_last - rows_first + 1) * 4,
-                );
-                ctx.read_global_range(b_rows_dev.addr(warp_fib_start), span * 4);
-            } else {
-                ctx.read_global_range_l2(
-                    out_rows_dev.addr(rows_first),
-                    (rows_last - rows_first + 1) * 4,
-                );
-                ctx.read_global_range_l2(b_rows_dev.addr(warp_fib_start), span * 4);
-            }
-            for i in 0..threadlen {
-                y_addrs.clear();
-                b_addrs.clear();
+    // Boundary carries fold into `out` in launch order.
+    let step2_stats =
+        device.launch_columns((grid_x, r), cfg.block_size, 0, None, Some(&out), |ctx| {
+            let col = ctx.block_y();
+            let warp = ctx.warp_size();
+            let mut y_addrs: Vec<u64> = Vec::with_capacity(warp);
+            let mut b_addrs: Vec<u64> = Vec::with_capacity(warp);
+            let mut write_addrs: Vec<u64> = Vec::with_capacity(warp);
+            for w in 0..ctx.warps_per_block() {
+                let warp_first_thread = ctx.block_x() * ctx.block_threads() + w * warp;
+                if warp_first_thread * threadlen >= nfibs {
+                    break;
+                }
+                ctx.begin_warp();
+                // Metadata streams once; the bIdy > 0 siblings hit L2. The
+                // out-row stream is one element wider on each side: the segment
+                // scan compares against the previous partition's last row and
+                // peeks the next partition's first row.
+                let warp_fib_start = warp_first_thread * threadlen;
+                let span = (warp * threadlen).min(nfibs - warp_fib_start);
+                let rows_first = warp_fib_start.saturating_sub(1);
+                let rows_last = (warp_fib_start + span).min(nfibs - 1);
+                if ctx.block_y() == 0 {
+                    ctx.read_global_range(
+                        out_rows_dev.addr(rows_first),
+                        (rows_last - rows_first + 1) * 4,
+                    );
+                    ctx.read_global_range(b_rows_dev.addr(warp_fib_start), span * 4);
+                } else {
+                    ctx.read_global_range_l2(
+                        out_rows_dev.addr(rows_first),
+                        (rows_last - rows_first + 1) * 4,
+                    );
+                    ctx.read_global_range_l2(b_rows_dev.addr(warp_fib_start), span * 4);
+                }
+                for i in 0..threadlen {
+                    y_addrs.clear();
+                    b_addrs.clear();
+                    for lane in 0..warp {
+                        let fib = (warp_first_thread + lane) * threadlen + i;
+                        if fib < nfibs {
+                            y_addrs.push(y.addr(fib * r + col));
+                            b_addrs.push(b.addr(b_rows_dev.get(fib) as usize, col));
+                        }
+                    }
+                    if y_addrs.is_empty() {
+                        break;
+                    }
+                    // The intermediate is streamed (too large for reuse);
+                    // the factor is a reused working set.
+                    ctx.read_global(&y_addrs);
+                    ctx.read_global_ws(&b_addrs, b_ws);
+                    ctx.compute(2);
+                }
+                // Functional per-lane accumulation over out-row segments.
+                write_addrs.clear();
                 for lane in 0..warp {
-                    let fib = (warp_first_thread + lane) * threadlen + i;
-                    if fib < nfibs {
-                        y_addrs.push(y.addr(fib * r + col));
-                        b_addrs.push(b.addr(b_rows_dev.get(fib) as usize, col));
+                    let thread = warp_first_thread + lane;
+                    let pstart = thread * threadlen;
+                    if pstart >= nfibs {
+                        break;
                     }
-                }
-                if y_addrs.is_empty() {
-                    break;
-                }
-                // The intermediate is streamed (too large for reuse);
-                // the factor is a reused working set.
-                ctx.read_global(&y_addrs);
-                ctx.read_global_ws(&b_addrs, b_ws);
-                ctx.compute(2);
-            }
-            // Functional per-lane accumulation over out-row segments.
-            write_addrs.clear();
-            for lane in 0..warp {
-                let thread = warp_first_thread + lane;
-                let pstart = thread * threadlen;
-                if pstart >= nfibs {
-                    break;
-                }
-                let pend = ((thread + 1) * threadlen).min(nfibs);
-                let mut sum = 0.0f32;
-                let mut began_inside =
-                    pstart == 0 || out_rows_dev.get(pstart) != out_rows_dev.get(pstart - 1);
-                let mut current_row = out_rows_dev.get(pstart) as usize;
-                for fib in pstart..pend {
-                    let row = out_rows_dev.get(fib) as usize;
-                    if row != current_row {
-                        finalize(
-                            ctx,
-                            &out,
-                            current_row * r + col,
-                            sum,
-                            began_inside,
-                            &mut write_addrs,
-                        );
-                        sum = 0.0;
-                        began_inside = true;
-                        current_row = row;
+                    let pend = ((thread + 1) * threadlen).min(nfibs);
+                    let mut sum = 0.0f32;
+                    let mut began_inside =
+                        pstart == 0 || out_rows_dev.get(pstart) != out_rows_dev.get(pstart - 1);
+                    let mut current_row = out_rows_dev.get(pstart) as usize;
+                    for fib in pstart..pend {
+                        let row = out_rows_dev.get(fib) as usize;
+                        if row != current_row {
+                            finalize(
+                                ctx,
+                                &out,
+                                current_row * r + col,
+                                sum,
+                                began_inside,
+                                &mut write_addrs,
+                            );
+                            sum = 0.0;
+                            began_inside = true;
+                            current_row = row;
+                        }
+                        let j = b_rows_dev.get(fib) as usize;
+                        sum += y.get(fib * r + col) * b.get(j, col);
                     }
-                    let j = b_rows_dev.get(fib) as usize;
-                    sum += y.get(fib * r + col) * b.get(j, col);
+                    let ends_exclusive =
+                        pend == nfibs || out_rows_dev.get(pend) as usize != current_row;
+                    finalize(
+                        ctx,
+                        &out,
+                        current_row * r + col,
+                        sum,
+                        began_inside && ends_exclusive,
+                        &mut write_addrs,
+                    );
                 }
-                let ends_exclusive =
-                    pend == nfibs || out_rows_dev.get(pend) as usize != current_row;
-                finalize(
-                    ctx,
-                    &out,
-                    current_row * r + col,
-                    sum,
-                    began_inside && ends_exclusive,
-                    &mut write_addrs,
-                );
+                let sharers = r.min(8) as u64;
+                for chunk in write_addrs.chunks(warp) {
+                    ctx.write_global_shared(chunk, sharers);
+                }
+                ctx.compute(gpu_sim::scan::warp_segscan_cycles(ctx.config()));
             }
-            let sharers = r.min(8) as u64;
-            for chunk in write_addrs.chunks(warp) {
-                ctx.write_global_shared(chunk, sharers);
+            if cfg.use_fusion {
+                ctx.adjacent_sync();
             }
-            ctx.compute(gpu_sim::scan::warp_segscan_cycles(ctx.config()));
-        }
-        if cfg.use_fusion {
-            ctx.adjacent_sync();
-        }
-    });
+        });
 
     let mut stats = step1_stats;
     stats.merge(&step2_stats);
@@ -221,7 +223,7 @@ pub fn spmttkrp_two_step_unified(
 }
 
 fn finalize(
-    _ctx: &mut gpu_sim::BlockCtx<'_>,
+    ctx: &mut gpu_sim::BlockCtx<'_>,
     out: &gpu_sim::DeviceBuffer<f32>,
     index: usize,
     sum: f32,
@@ -233,7 +235,7 @@ fn finalize(
         // SAFETY: exclusive segments are owned by one thread per column.
         unsafe { out.write(index, sum) };
     } else {
-        out.atomic_add_f32(index, sum);
+        ctx.carry_add_f32(index, sum);
     }
 }
 

@@ -18,6 +18,7 @@ use crate::record::{self, AccessKind, AccessLog, BlockRecord, LaunchRecord};
 use crate::stats::{BlockStats, KernelStats};
 use crate::trace::{self, BlockTrace, LaunchTrace, MemoryEvent, MemoryEventKind, TraceLog};
 use parking_lot::Mutex;
+use std::collections::BTreeMap;
 
 /// A simulated GPU: configuration plus global memory.
 pub struct GpuDevice {
@@ -153,6 +154,45 @@ impl GpuDevice {
     where
         K: Fn(&mut BlockCtx) + Sync,
     {
+        self.launch_columns(grid, block_threads, shared_bytes, None, None, kernel)
+    }
+
+    /// Like [`GpuDevice::launch_with_shared`], for kernels whose blocks
+    /// along `bIdy` are column siblings (the unified kernels of Fig. 4).
+    ///
+    /// * **Column classes.** `class[by]` names the representative column
+    ///   (`class[by] ≤ by`, and a representative is its own class) whose
+    ///   cost block column `by` shares. Only representative blocks narrate;
+    ///   every other block runs functional-only ([`BlockCtx::narrating`] is
+    ///   false, narration calls are no-ops) and is charged a copy of the
+    ///   [`BlockStats`] of the representative with the same `bIdx`. The
+    ///   caller guarantees that the copy is exact. `None` — and any launch
+    ///   while this device records or traces, so the [`AccessLog`] and
+    ///   [`LaunchTrace`] keep one narrated entry per block — makes every
+    ///   column its own class.
+    /// * **Boundary carries.** Functional `atomicAdd`s into `carries` — via
+    ///   [`BlockCtx::carry_add_f32`] or [`BlockCtx::atomic_add_f32`] — are
+    ///   recorded in the issuing block but applied in block launch order
+    ///   (x-major) and issue order within a block: the StreamScan domino
+    ///   order. A finished chunk of blocks folds once every earlier chunk
+    ///   has, so the result does not depend on how host threads interleave
+    ///   blocks, and queued carries live only while an earlier chunk runs.
+    ///
+    /// # Panics
+    /// As [`GpuDevice::launch_with_shared`], or if `class` does not have one
+    /// valid entry per grid column.
+    pub fn launch_columns<K>(
+        &self,
+        grid: (usize, usize),
+        block_threads: usize,
+        shared_bytes: usize,
+        class: Option<&[usize]>,
+        carries: Option<&DeviceBuffer<f32>>,
+        kernel: K,
+    ) -> KernelStats
+    where
+        K: Fn(&mut BlockCtx) + Sync,
+    {
         assert!(block_threads > 0, "block must have threads");
         assert_eq!(
             block_threads % self.config.warp_size,
@@ -172,6 +212,17 @@ impl GpuDevice {
             self.config.shared_mem_per_sm
         );
         let (gx, gy) = grid;
+        if let Some(class) = class {
+            assert_eq!(class.len(), gy, "one column class per grid column");
+            assert!(
+                class.iter().all(|&rep| class.get(rep) == Some(&rep)),
+                "column classes must name representatives that are their own class"
+            );
+            assert!(
+                class.iter().enumerate().all(|(by, &rep)| rep <= by),
+                "a column's representative must not follow it"
+            );
+        }
         let total_blocks = gx * gy;
         // Fault-injection hook: advance the launch counter, arm this
         // launch's faults, and honour an injected launch failure — the
@@ -195,12 +246,16 @@ impl GpuDevice {
         }
         let recording = self.recording.lock().is_some();
         let tracing = self.tracing.lock().is_some();
+        let class = class.filter(|_| !recording && !tracing);
+        let representative = |by: usize| class.map_or(by, |class| class[by]);
         let mut per_block: Vec<(BlockStats, Option<BlockRecord>, Option<BlockTrace>)> = (0
             ..total_blocks)
             .map(|_| (BlockStats::default(), None, None))
             .collect();
         let config = &self.config;
+        let domino = carries.map(CarryFold::new);
         cpu_par::par_chunks_mut(&mut per_block, 8, |chunk_index, chunk| {
+            let mut chunk_carries = Vec::new();
             for (offset, slot) in chunk.iter_mut().enumerate() {
                 let block_linear = chunk_index * 8 + offset;
                 // x-major linearization: bIdx varies fastest.
@@ -212,9 +267,13 @@ impl GpuDevice {
                 if tracing {
                     trace::begin_block(block_linear);
                 }
-                let mut ctx = BlockCtx::new(config, block_x, block_y, block_threads);
+                let narrating = representative(block_y) == block_y;
+                let mut ctx =
+                    BlockCtx::new(config, block_x, block_y, block_threads, narrating, carries);
                 kernel(&mut ctx);
-                slot.0 = ctx.finish();
+                let mut block_carries;
+                (slot.0, block_carries) = ctx.finish();
+                chunk_carries.append(&mut block_carries);
                 if recording {
                     slot.1 = record::end_block();
                 }
@@ -222,8 +281,16 @@ impl GpuDevice {
                     slot.2 = trace::end_block();
                 }
             }
+            if let Some(domino) = &domino {
+                domino.finish_chunk(chunk_index, chunk_carries);
+            }
         });
-        let stats: Vec<BlockStats> = per_block.iter().map(|(s, _, _)| s.clone()).collect();
+        let stats: Vec<BlockStats> = (0..total_blocks)
+            .map(|block| {
+                let (block_x, block_y) = (block % gx, block / gx);
+                per_block[representative(block_y) * gx + block_x].0.clone()
+            })
+            .collect();
         if recording {
             if let Some(log) = self.recording.lock().as_mut() {
                 log.launches.push(LaunchRecord {
@@ -273,6 +340,40 @@ impl GpuDevice {
     }
 }
 
+/// Queued boundary carries, `(index, value)` into a launch's carry target.
+type Carries = Vec<(u32, f32)>;
+
+/// The launch-order fold of boundary carries (StreamScan's domino): chunks
+/// of blocks finish in any order, and whichever thread finishes the chunk
+/// next in line folds it and every finished chunk queued behind it.
+struct CarryFold<'b> {
+    target: &'b DeviceBuffer<f32>,
+    /// The next chunk to fold, and finished chunks' carries (blocks in
+    /// launch order) waiting for it.
+    state: Mutex<(usize, BTreeMap<usize, Carries>)>,
+}
+
+impl<'b> CarryFold<'b> {
+    fn new(target: &'b DeviceBuffer<f32>) -> Self {
+        CarryFold {
+            target,
+            state: Mutex::new((0, BTreeMap::new())),
+        }
+    }
+
+    fn finish_chunk(&self, chunk: usize, carries: Carries) {
+        let mut guard = self.state.lock();
+        let (next, waiting) = &mut *guard;
+        waiting.insert(chunk, carries);
+        while let Some(carries) = waiting.remove(next) {
+            for (index, value) in carries {
+                self.target.apply_atomic_add_f32(index as usize, value);
+            }
+            *next += 1;
+        }
+    }
+}
+
 /// Clamps a narrated range length to the recorded event's field width.
 #[inline]
 fn range_len(bytes: usize) -> u32 {
@@ -302,29 +403,46 @@ pub struct BlockCtx<'a> {
     block_x: usize,
     block_y: usize,
     block_threads: usize,
+    /// False for a block that replays its column representative's cost
+    /// (see [`GpuDevice::launch_columns`]): narration calls are no-ops.
+    narrating: bool,
     stats: BlockStats,
     rocache: ReadOnlyCache,
     rocache_sharers: u64,
     warp_cycles: u64,
     warp_open: bool,
+    carry_target: Option<&'a DeviceBuffer<f32>>,
+    carries: Carries,
 }
 
 impl<'a> BlockCtx<'a> {
-    fn new(config: &'a DeviceConfig, block_x: usize, block_y: usize, block_threads: usize) -> Self {
+    fn new(
+        config: &'a DeviceConfig,
+        block_x: usize,
+        block_y: usize,
+        block_threads: usize,
+        narrating: bool,
+        carry_target: Option<&'a DeviceBuffer<f32>>,
+    ) -> Self {
+        // A functional-only block never probes its cache: keep it minimal.
+        let (rocache_bytes, rocache_ways) = if narrating {
+            (config.readonly_cache_bytes, config.readonly_ways)
+        } else {
+            (0, 1)
+        };
         BlockCtx {
             config,
             block_x,
             block_y,
             block_threads,
+            narrating,
             stats: BlockStats::default(),
-            rocache: ReadOnlyCache::new(
-                config.readonly_cache_bytes,
-                config.readonly_line_bytes,
-                config.readonly_ways,
-            ),
+            rocache: ReadOnlyCache::new(rocache_bytes, config.readonly_line_bytes, rocache_ways),
             rocache_sharers: 1,
             warp_cycles: 0,
             warp_open: false,
+            carry_target,
+            carries: Vec::new(),
         }
     }
 
@@ -336,6 +454,14 @@ impl<'a> BlockCtx<'a> {
     /// (the fill is amortized across the siblings).
     pub fn set_rocache_sharers(&mut self, sharers: u64) {
         self.rocache_sharers = sharers.max(1);
+    }
+
+    /// False when this block replays its column representative's cost (see
+    /// [`GpuDevice::launch_columns`]): kernels skip building narration
+    /// inputs, every narration call is a no-op, and only the functional work
+    /// — reads, writes, atomics — must still happen.
+    pub fn narrating(&self) -> bool {
+        self.narrating
     }
 
     /// Block index along the grid's x dimension.
@@ -373,6 +499,9 @@ impl<'a> BlockCtx<'a> {
     /// Kernels iterate their block's warps and call this once per warp so the
     /// context can track the slowest warp (intra-block imbalance).
     pub fn begin_warp(&mut self) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_begin_warp();
         }
@@ -393,21 +522,27 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
-    fn finish(mut self) -> BlockStats {
+    fn finish(mut self) -> (BlockStats, Carries) {
         self.close_warp();
-        self.stats
+        (self.stats, self.carries)
     }
 
     /// Charges `warp_instructions` cycles of compute to the current warp
     /// (one warp-wide instruction ≈ one cycle).
     #[inline]
     pub fn compute(&mut self, warp_instructions: u64) {
+        if !self.narrating {
+            return;
+        }
         self.warp_cycles += warp_instructions;
     }
 
     /// Charges a warp-wide global-memory read with the given lane addresses.
     #[inline]
     pub fn read_global(&mut self, addrs: &[u64]) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_access_batch(AccessKind::NarratedRead, addrs, 1);
         }
@@ -424,6 +559,9 @@ impl<'a> BlockCtx<'a> {
     /// Charges a warp-wide global-memory write with the given lane addresses.
     #[inline]
     pub fn write_global(&mut self, addrs: &[u64]) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_access_batch(AccessKind::NarratedWrite, addrs, 1);
         }
@@ -442,7 +580,7 @@ impl<'a> BlockCtx<'a> {
     /// the write-back L2 merges the partial-line writes, so DRAM sees each
     /// line once per `sharers` blocks. Issue cost is unchanged.
     pub fn write_global_shared(&mut self, addrs: &[u64], sharers: u64) {
-        if addrs.is_empty() {
+        if addrs.is_empty() || !self.narrating {
             return;
         }
         if record::recording_active() {
@@ -479,6 +617,9 @@ impl<'a> BlockCtx<'a> {
     /// cost is the region's aligned sector count rather than a naive
     /// per-iteration stride analysis.
     pub fn read_global_range(&mut self, start_addr: u64, bytes: usize) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_access(AccessKind::NarratedRead, start_addr, range_len(bytes));
         }
@@ -494,6 +635,9 @@ impl<'a> BlockCtx<'a> {
     /// Charges a streaming write of a contiguous region (same model as
     /// [`BlockCtx::read_global_range`]).
     pub fn write_global_range(&mut self, start_addr: u64, bytes: usize) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_access(AccessKind::NarratedWrite, start_addr, range_len(bytes));
         }
@@ -528,7 +672,7 @@ impl<'a> BlockCtx<'a> {
     /// fetched). Load instructions still issue and transactions still count,
     /// but no DRAM traffic is charged.
     pub fn read_global_range_l2(&mut self, start_addr: u64, bytes: usize) {
-        if bytes == 0 {
+        if bytes == 0 || !self.narrating {
             return;
         }
         if record::recording_active() {
@@ -552,7 +696,7 @@ impl<'a> BlockCtx<'a> {
     /// (no DRAM bytes). Use for factor-matrix reads in kernels that do not
     /// route them through the read-only cache.
     pub fn read_global_ws(&mut self, addrs: &[u64], ws_bytes: usize) {
-        if addrs.is_empty() {
+        if addrs.is_empty() || !self.narrating {
             return;
         }
         if record::recording_active() {
@@ -584,6 +728,9 @@ impl<'a> BlockCtx<'a> {
     /// `ws_bytes` total size: read-only cache misses whose working set fits
     /// the device L2 are served on chip (L2 latency, no DRAM fill).
     pub fn read_readonly_ws(&mut self, addrs: &[u64], ws_bytes: usize) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_access_batch(AccessKind::NarratedRead, addrs, 1);
         }
@@ -623,13 +770,22 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Performs and charges a warp's worth of `atomicAdd(float*)`: each
-    /// `(index, value)` pair is one lane's atomic into `buffer`.
+    /// `(index, value)` pair is one lane's atomic into `buffer`. Adds into
+    /// the launch's carry target are deferred like
+    /// [`BlockCtx::carry_add_f32`]; a functional-only block still performs
+    /// (or queues) every add.
     ///
     /// Lanes targeting the same element serialize: the warp pays
     /// `atomic_cycles × max multiplicity`, which is the contention behaviour
     /// that makes COO-style accumulation expensive on GPUs (§III-B).
     pub fn atomic_add_f32(&mut self, buffer: &DeviceBuffer<f32>, lanes: &[(usize, f32)]) {
         if lanes.is_empty() {
+            return;
+        }
+        if !self.narrating {
+            for &(index, value) in lanes {
+                self.functional_atomic(buffer, index, value);
+            }
             return;
         }
         let addrs: Vec<u64> = lanes.iter().map(|&(i, _)| buffer.addr(i)).collect();
@@ -640,7 +796,7 @@ impl<'a> BlockCtx<'a> {
         let mut max_multiplicity = 0u64;
         let mut seen: Vec<(usize, u64)> = Vec::with_capacity(lanes.len());
         for &(index, value) in lanes {
-            buffer.atomic_add_f32(index, value);
+            self.functional_atomic(buffer, index, value);
             match seen.iter_mut().find(|(i, _)| *i == index) {
                 Some((_, count)) => *count += 1,
                 None => seen.push((index, 1)),
@@ -667,9 +823,43 @@ impl<'a> BlockCtx<'a> {
         }
     }
 
+    /// Functional `atomicAdd` of `value` into element `index` of the
+    /// launch's carry target (a segment carried across a partition
+    /// boundary). The atomic is recorded now, in this block; the add is
+    /// applied after the region in launch order (see
+    /// [`GpuDevice::launch_columns`]). Charges nothing: callers narrate the
+    /// carry's traffic themselves.
+    ///
+    /// # Panics
+    /// If the launch has no carry target or `index` is out of bounds.
+    pub fn carry_add_f32(&mut self, index: usize, value: f32) {
+        let target = self
+            .carry_target
+            .expect("carry_add_f32 needs a launch with a carry target");
+        target.record_atomic(index);
+        let index = u32::try_from(index).expect("carry index fits in 32 bits");
+        self.carries.push((index, value));
+    }
+
+    /// The functional side of one atomic lane: queued when `buffer` is the
+    /// launch's carry target, applied immediately otherwise.
+    fn functional_atomic(&mut self, buffer: &DeviceBuffer<f32>, index: usize, value: f32) {
+        if self
+            .carry_target
+            .is_some_and(|target| std::ptr::eq(target, buffer))
+        {
+            self.carry_add_f32(index, value);
+        } else {
+            buffer.atomic_add_f32(index, value);
+        }
+    }
+
     /// Charges `ops` shared-memory accesses.
     #[inline]
     pub fn shared(&mut self, ops: u64) {
+        if !self.narrating {
+            return;
+        }
         self.stats.shared_ops += ops;
         self.warp_cycles += ops * self.config.shared_cycles;
     }
@@ -678,6 +868,9 @@ impl<'a> BlockCtx<'a> {
     /// uses these inside the segmented scan to avoid shared memory).
     #[inline]
     pub fn shuffle(&mut self, ops: u64) {
+        if !self.narrating {
+            return;
+        }
         self.stats.shuffles += ops;
         self.warp_cycles += ops * self.config.shuffle_cycles;
     }
@@ -685,6 +878,9 @@ impl<'a> BlockCtx<'a> {
     /// Charges one `__syncthreads()` barrier.
     #[inline]
     pub fn syncthreads(&mut self) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_syncthreads();
         }
@@ -695,6 +891,9 @@ impl<'a> BlockCtx<'a> {
     /// domino used for kernel fusion, §IV-D).
     #[inline]
     pub fn adjacent_sync(&mut self) {
+        if !self.narrating {
+            return;
+        }
         if record::recording_active() {
             record::on_adjacent_sync();
         }
@@ -706,11 +905,15 @@ impl<'a> BlockCtx<'a> {
     /// little the other lanes do. This is the warp-divergence penalty of
     /// fiber-centric baselines.
     pub fn diverged_loop(&mut self, lane_iterations: &[u64], cycles_per_iteration: u64) {
+        if !self.narrating {
+            return;
+        }
         let max = lane_iterations.iter().copied().max().unwrap_or(0);
         self.warp_cycles += max * cycles_per_iteration;
     }
 
-    /// Read-only cache hit rate observed so far in this block.
+    /// Read-only cache hit rate observed so far in this block (0 in a
+    /// functional-only block).
     pub fn rocache_hit_rate(&self) -> f64 {
         self.rocache.hit_rate()
     }
@@ -985,6 +1188,106 @@ mod tests {
         assert_eq!(a.dram_bytes, b.dram_bytes);
         assert_eq!(a.transactions, b.transactions);
         assert_eq!(a.rocache_hit_rate.to_bits(), b.rocache_hit_rate.to_bits());
+    }
+
+    #[test]
+    fn column_classes_replay_cost_and_still_run_every_block() {
+        // This kernel's narration depends only on bIdx and on bIdy > 0, so
+        // columns 1..5 form one class.
+        let device = GpuDevice::titan_x();
+        let buffer = device.memory().alloc_zeroed::<f32>(1 << 12).unwrap();
+        let ran = std::sync::atomic::AtomicUsize::new(0);
+        let narrated = std::sync::atomic::AtomicUsize::new(0);
+        let kernel = |ctx: &mut BlockCtx| {
+            ran.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if ctx.narrating() {
+                narrated.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            }
+            ctx.begin_warp();
+            let addrs: Vec<u64> = (0..32)
+                .map(|lane| buffer.addr(ctx.block_x() * 97 + lane * 3))
+                .collect();
+            ctx.read_readonly(&addrs);
+            ctx.compute(if ctx.block_y() > 0 { 7 } else { 3 });
+        };
+        let each = device.launch_columns((6, 5), 64, 0, None, None, kernel);
+        let replayed = device.launch_columns((6, 5), 64, 0, Some(&[0, 1, 1, 1, 1]), None, kernel);
+        assert_eq!(ran.load(std::sync::atomic::Ordering::Relaxed), 60);
+        assert_eq!(narrated.load(std::sync::atomic::Ordering::Relaxed), 30 + 12);
+        assert_eq!(format!("{each:?}"), format!("{replayed:?}"));
+        // A tracing device narrates every column, class map or not.
+        device.start_tracing();
+        device.launch_columns((6, 5), 64, 0, Some(&[0, 1, 1, 1, 1]), None, kernel);
+        let trace = device.stop_tracing();
+        assert_eq!(trace.launches.len(), 1);
+        assert_eq!(narrated.load(std::sync::atomic::Ordering::Relaxed), 42 + 30);
+    }
+
+    #[test]
+    #[should_panic(expected = "must not follow it")]
+    fn column_class_representatives_come_first() {
+        let device = GpuDevice::titan_x();
+        device.launch_columns((1, 3), 32, 0, Some(&[0, 2, 2]), None, |_| {});
+    }
+
+    #[test]
+    fn carries_fold_in_launch_order_whatever_the_host_schedule() {
+        // Float addition does not associate: the folded sums equal the
+        // sequential launch-order fold (x-major, lanes in issue order) bit
+        // for bit, on every run and at any pool size.
+        let (gx, gy, lanes) = (64usize, 2usize, 32usize);
+        let value = |block: usize, lane: usize| {
+            let magnitude = if (block + lane).is_multiple_of(3) {
+                1.0e7
+            } else {
+                0.37
+            };
+            let sign = if (block * 7 + lane).is_multiple_of(2) {
+                1.0
+            } else {
+                -1.0
+            };
+            sign * magnitude * (1.0 + ((block * 31 + lane * 11) % 101) as f32 / 101.0)
+        };
+        let mut expected = [0.0f32; 2];
+        for block in 0..gx * gy {
+            for lane in 0..lanes {
+                expected[block / gx] += value(block, lane);
+            }
+        }
+        let device = GpuDevice::titan_x();
+        for _ in 0..5 {
+            let out = device.memory().alloc_zeroed::<f32>(2).unwrap();
+            device.start_recording();
+            device.launch_columns((gx, gy), 32, 0, None, Some(&out), |ctx| {
+                ctx.begin_warp();
+                let block = ctx.block_y() * gx + ctx.block_x();
+                // Half the lanes as carries, half as narrated atomics: both
+                // are deferred into the carry target.
+                for lane in 0..lanes / 2 {
+                    ctx.carry_add_f32(ctx.block_y(), value(block, lane));
+                }
+                let rest: Vec<(usize, f32)> = (lanes / 2..lanes)
+                    .map(|lane| (ctx.block_y(), value(block, lane)))
+                    .collect();
+                ctx.atomic_add_f32(&out, &rest);
+            });
+            let log = device.stop_recording();
+            assert_eq!(bits_of(&out.to_vec()), bits_of(&expected));
+            // Each carry's functional atomic sits in the block that issued it.
+            for record in &log.launches[0].blocks {
+                let atomics = record
+                    .events
+                    .iter()
+                    .filter(|e| e.kind == AccessKind::FunctionalAtomic)
+                    .count();
+                assert_eq!(atomics, lanes, "block {}", record.block);
+            }
+        }
+    }
+
+    fn bits_of(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]

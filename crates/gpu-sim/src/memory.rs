@@ -363,6 +363,14 @@ impl DeviceBuffer<f32> {
     /// If `index` is out of bounds, naming the index and the buffer length.
     #[inline]
     pub fn atomic_add_f32(&self, index: usize, value: f32) {
+        self.record_atomic(index);
+        self.apply_atomic_add_f32(index, value);
+    }
+
+    /// The issuing side of an `atomicAdd`: bounds-checks `index` and logs
+    /// the functional atomic in the current block's record.
+    #[inline]
+    pub(crate) fn record_atomic(&self, index: usize) {
         assert!(
             index < self.data.len(),
             "DeviceBuffer atomic out of bounds: index {index} >= length {} (base {:#x})",
@@ -376,6 +384,12 @@ impl DeviceBuffer<f32> {
                 std::mem::size_of::<f32>() as u32,
             );
         }
+    }
+
+    /// The memory side of an `atomicAdd` recorded by
+    /// [`DeviceBuffer::record_atomic`]: the fault hook, then the add.
+    #[inline]
+    pub(crate) fn apply_atomic_add_f32(&self, index: usize, value: f32) {
         // Fault-injection hook (after the record event fires: the hardware
         // acknowledged the transaction, then lost the write). Gated on the
         // zero-cost global check, then this launch's armed flag.

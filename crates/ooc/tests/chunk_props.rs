@@ -4,9 +4,9 @@
 //! single-non-zero) chunks — and a segment that spans a chunk boundary
 //! must fold into the output exactly once.
 //!
-//! Sizes are capped so `grid_x · columns ≤ 8` blocks: the simulator then
-//! runs every block on one worker chunk and results are strictly
-//! deterministic, making bitwise comparison meaningful.
+//! Sizes are capped so `grid_x · columns ≤ 8` blocks (one worker chunk),
+//! which keeps the cases fast. Bitwise comparison holds at any size:
+//! boundary carries fold in launch order, whatever the host schedule.
 
 use fcoo::{chunk, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
 use gpu_sim::GpuDevice;
@@ -17,7 +17,7 @@ use tensor_core::{DenseMatrix, SparseTensorCoo};
 
 const RANK: usize = 4;
 /// SpTTMc column budget per product mode (`2 · 2 = 4` output columns keeps
-/// the launch inside the deterministic block bound).
+/// the launch inside the block bound).
 const TTMC_RANK: usize = 2;
 
 fn op_from(selector: u8, mode: usize) -> TensorOp {

@@ -112,3 +112,34 @@ fn mode_zero_is_rejected_as_one_based() {
     assert!(err.contains("1-based"));
     std::fs::remove_file(&tns).ok();
 }
+
+#[test]
+fn oocbench_and_saturate_json_are_identical_across_worker_counts() {
+    // Boundary carries fold in launch order, so the committed trajectory
+    // points reproduce at any host pool size.
+    for command in ["oocbench", "saturate"] {
+        let runs: Vec<Vec<u8>> = ["1", "4"]
+            .iter()
+            .map(|workers| {
+                let json = temp_path(&format!("{command}_{workers}.json"));
+                let out = Command::new(env!("CARGO_BIN_EXE_tensortool"))
+                    .env("CPU_PAR_THREADS", workers)
+                    .args([command, json.to_str().unwrap()])
+                    .output()
+                    .expect("binary runs");
+                assert!(
+                    out.status.success(),
+                    "{command} at {workers} workers: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                let bytes = std::fs::read(&json).expect("JSON written");
+                std::fs::remove_file(&json).ok();
+                bytes
+            })
+            .collect();
+        assert!(
+            runs[0] == runs[1],
+            "{command} JSON differs between 1 and 4 pool workers"
+        );
+    }
+}
