@@ -432,10 +432,9 @@ enum GatherPlan {
 /// Certified counter envelope of one unified-kernel launch over `fcoo` at
 /// factor rank `rank` under `cfg` — without simulating anything.
 ///
-/// The envelope covers exactly what a traced
-/// `spttm_into`/`spmttkrp_into`/`spttmc_norder_into` launch reports (the
-/// per-factor rank is `rank` for every product mode, matching the tuner and
-/// the golden suite). For the two-step baseline use [`certify_two_step`];
+/// The envelope covers exactly what a traced `AnyFormatDevice` launch
+/// reports (the per-factor rank is `rank` for every product mode, matching
+/// the tuner and the golden suite). For the two-step baseline use [`certify_two_step`];
 /// for chunked out-of-core pipelines use [`certify_chunked`].
 ///
 /// # Panics
@@ -1174,7 +1173,7 @@ fn certify_fiber_reduction(
 }
 
 /// Certified whole-pipeline envelope of an out-of-core chunked run
-/// (`ooc::run_chunked`): the sum of per-chunk launch envelopes over the
+/// (`ooc::run_chunked_format`): the sum of per-chunk launch envelopes over the
 /// plan, each chunk certified on its self-contained extracted format. The
 /// measured [`KernelCounters`] of a traced chunked run satisfy the summed
 /// bounds because chunk launches execute back to back and
@@ -1280,22 +1279,25 @@ pub fn gather_bounds(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcoo::{AnyFormat, AnyFormatDevice, DeviceMatrix, FcooDevice};
+    use fcoo::{AnyFormat, AnyFormatDevice, DeviceMatrix};
     use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
 
     const RANK: usize = 8;
 
+    /// Counters of one traced launch of `op` over `tensor` built as
+    /// `kind`, with rank-`RANK` factors seeded `1 + mode`.
     fn traced_counters(
+        kind: FormatKind,
         tensor: &SparseTensorCoo,
         op: TensorOp,
         threadlen: usize,
         cfg: &LaunchConfig,
     ) -> KernelCounters {
         let device = GpuDevice::titan_x();
-        let fcoo = Fcoo::from_coo(tensor, op, threadlen);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let format = AnyFormat::build(kind, tensor, op, threadlen);
+        let on_device = format.upload(device.memory()).unwrap();
         let factors: Vec<DeviceMatrix> = tensor
             .shape()
             .iter()
@@ -1305,23 +1307,24 @@ mod tests {
                 DeviceMatrix::upload(device.memory(), &host).unwrap()
             })
             .collect();
+        let refs: Vec<&DeviceMatrix> = op
+            .factor_modes(tensor.order())
+            .into_iter()
+            .map(|m| &factors[m])
+            .collect();
         device.start_tracing();
         match op {
-            TensorOp::SpTtm { mode } => {
-                fcoo::spttm(&device, &on_device, &factors[mode], cfg).unwrap();
+            TensorOp::SpTtm { .. } => {
+                on_device.spttm(&device, refs[0], cfg).unwrap();
             }
             TensorOp::SpMttkrp { .. } => {
-                let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-                fcoo::spmttkrp(&device, &on_device, &refs, cfg).unwrap();
+                on_device.spmttkrp(&device, &refs, cfg).unwrap();
             }
             TensorOp::SpTtmc { .. } => {
-                let pm = &on_device.classification.product_modes;
-                let refs: Vec<&DeviceMatrix> = pm.iter().map(|&m| &factors[m]).collect();
-                fcoo::spttmc_norder(&device, &on_device, &refs, cfg).unwrap();
+                on_device.spttmc_norder(&device, &refs, cfg).unwrap();
             }
         }
-        let log = device.stop_tracing();
-        log.counters()
+        device.stop_tracing().counters()
     }
 
     #[test]
@@ -1337,7 +1340,7 @@ mod tests {
                 let cfg = LaunchConfig::with_block_size(block);
                 let fcoo = Fcoo::from_coo(&tensor, op, threadlen);
                 let envelope = certify(&config, &fcoo, RANK, &cfg);
-                let measured = traced_counters(&tensor, op, threadlen, &cfg);
+                let measured = traced_counters(FormatKind::Fcoo, &tensor, op, threadlen, &cfg);
                 assert_eq!(
                     envelope.violations(&measured),
                     Vec::<String>::new(),
@@ -1360,7 +1363,7 @@ mod tests {
         let op = TensorOp::SpMttkrp { mode: 0 };
         let fcoo = Fcoo::from_coo(&tensor, op, 8);
         let envelope = certify(&config, &fcoo, RANK, &cfg);
-        let measured = traced_counters(&tensor, op, 8, &cfg);
+        let measured = traced_counters(FormatKind::Fcoo, &tensor, op, 8, &cfg);
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
         assert!(envelope.atomics > 0);
         assert_eq!(envelope.atomics, measured.atomics);
@@ -1410,7 +1413,7 @@ mod tests {
             .map(|(m, &n)| DenseMatrix::random(n, RANK, 1 + m as u64))
             .collect();
         device.start_tracing();
-        ooc_run(&device, &fcoo, &plan, &hosts, &cfg);
+        ooc_run(&device, FormatKind::Fcoo, &fcoo, &plan, &hosts, &cfg);
         let measured = device.stop_tracing().counters();
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);
@@ -1420,6 +1423,7 @@ mod tests {
     // chunked execution loop is small enough to inline for the test.
     fn ooc_run(
         device: &GpuDevice,
+        kind: FormatKind,
         fcoo: &Fcoo,
         plan: &ChunkPlan,
         hosts: &[DenseMatrix],
@@ -1432,50 +1436,11 @@ mod tests {
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
         for desc in &plan.chunks {
             let chunk = fcoo::chunk::extract(fcoo, desc);
-            let on_device = FcooDevice::upload(device.memory(), &chunk).unwrap();
-            let rows = chunk.shape[match chunk.op {
-                TensorOp::SpMttkrp { mode } => mode,
-                _ => unreachable!("test uses MTTKRP"),
-            }];
+            let on_device = AnyFormatDevice::upload_as(device.memory(), kind, &chunk).unwrap();
+            let rows = chunk.shape[chunk.op.mode()];
             let out = device.memory().alloc_zeroed::<f32>(rows * RANK).unwrap();
-            fcoo::kernels::spmttkrp_into(device, &on_device, &refs, cfg, &out);
+            on_device.launch_into(device, &refs, cfg, &out);
         }
-    }
-
-    fn traced_bfcoo_counters(
-        tensor: &SparseTensorCoo,
-        op: TensorOp,
-        threadlen: usize,
-        cfg: &LaunchConfig,
-    ) -> KernelCounters {
-        let device = GpuDevice::titan_x();
-        let format = AnyFormat::build(FormatKind::BfCoo, tensor, op, threadlen);
-        let on_device = format.upload(device.memory()).unwrap();
-        let factors: Vec<DeviceMatrix> = tensor
-            .shape()
-            .iter()
-            .enumerate()
-            .map(|(m, &n)| {
-                let host = DenseMatrix::random(n, RANK, 1 + m as u64);
-                DeviceMatrix::upload(device.memory(), &host).unwrap()
-            })
-            .collect();
-        device.start_tracing();
-        match op {
-            TensorOp::SpTtm { mode } => {
-                on_device.spttm(&device, &factors[mode], cfg).unwrap();
-            }
-            TensorOp::SpMttkrp { .. } => {
-                let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-                on_device.spmttkrp(&device, &refs, cfg).unwrap();
-            }
-            TensorOp::SpTtmc { .. } => {
-                let pm = &on_device.base().classification.product_modes;
-                let refs: Vec<&DeviceMatrix> = pm.iter().map(|&m| &factors[m]).collect();
-                on_device.spttmc_norder(&device, &refs, cfg).unwrap();
-            }
-        }
-        device.stop_tracing().counters()
     }
 
     #[test]
@@ -1491,7 +1456,7 @@ mod tests {
                 let cfg = LaunchConfig::with_block_size(block);
                 let bf = BfCoo::from_coo(&tensor, op, threadlen);
                 let envelope = certify_bfcoo(&config, &bf, RANK, &cfg);
-                let measured = traced_bfcoo_counters(&tensor, op, threadlen, &cfg);
+                let measured = traced_counters(FormatKind::BfCoo, &tensor, op, threadlen, &cfg);
                 assert_eq!(
                     envelope.violations(&measured),
                     Vec::<String>::new(),
@@ -1513,7 +1478,7 @@ mod tests {
         };
         let bf = BfCoo::from_coo(&tensor, op, 8);
         let envelope = certify_bfcoo(&config, &bf, RANK, &cfg);
-        let measured = traced_bfcoo_counters(&tensor, op, 8, &cfg);
+        let measured = traced_counters(FormatKind::BfCoo, &tensor, op, 8, &cfg);
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
     }
 
@@ -1547,20 +1512,8 @@ mod tests {
             .enumerate()
             .map(|(m, &n)| DenseMatrix::random(n, RANK, 1 + m as u64))
             .collect();
-        let factors: Vec<DeviceMatrix> = hosts
-            .iter()
-            .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
-            .collect();
-        let refs: Vec<&DeviceMatrix> = factors.iter().collect();
         device.start_tracing();
-        for desc in &plan.chunks {
-            let chunk = fcoo::chunk::extract(&fcoo, desc);
-            let rows = chunk.shape[0];
-            let on_device =
-                AnyFormatDevice::upload_as(device.memory(), FormatKind::BfCoo, &chunk).unwrap();
-            let out = device.memory().alloc_zeroed::<f32>(rows * RANK).unwrap();
-            on_device.spmttkrp_into(&device, &refs, &cfg, &out);
-        }
+        ooc_run(&device, FormatKind::BfCoo, &fcoo, &plan, &hosts, &cfg);
         let measured = device.stop_tracing().counters();
         assert_eq!(envelope.violations(&measured), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);

@@ -16,7 +16,7 @@
 //! the full tuning grid ruled out with zero trial launches.
 
 use analyzer::cost;
-use fcoo::{spmttkrp, spttm, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::GpuDevice;
 use proptest::prelude::*;
 use tensor_core::datasets::{self, DatasetKind};
@@ -63,7 +63,8 @@ fn certify_and_trace(
     let cfg = LaunchConfig::with_block_size(block_size);
     let fcoo = Fcoo::from_coo(tensor, op, threadlen);
     let envelope = cost::certify(config, &fcoo, RANK, &cfg);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("format upload");
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+        .expect("format upload");
     let hosts = factors(tensor, factor_seed);
     let uploaded: Vec<DeviceMatrix> = hosts
         .iter()
@@ -72,11 +73,15 @@ fn certify_and_trace(
     device.start_tracing();
     match op {
         TensorOp::SpTtm { mode } => {
-            spttm(&device, &on_device, &uploaded[mode], &cfg).expect("traced spttm");
+            on_device
+                .spttm(&device, &uploaded[mode], &cfg)
+                .expect("traced spttm");
         }
         _ => {
             let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            spmttkrp(&device, &on_device, &refs, &cfg).expect("traced spmttkrp");
+            on_device
+                .spmttkrp(&device, &refs, &cfg)
+                .expect("traced spmttkrp");
         }
     }
     let counters = device.stop_tracing().counters();

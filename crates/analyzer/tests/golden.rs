@@ -11,7 +11,7 @@
 
 use analyzer::model::LaunchGeometry;
 use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
-use fcoo::{BitFlags, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, BitFlags, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::record::AccessKind;
 use gpu_sim::{coalesce, AccessLog, GpuDevice};
 use tensor_core::datasets::{self, DatasetKind};
@@ -30,7 +30,8 @@ fn record_spmttkrp(
     cfg: &LaunchConfig,
 ) -> AccessLog {
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let hosts: Vec<DenseMatrix> = tensor
         .shape()
         .iter()
@@ -43,7 +44,7 @@ fn record_spmttkrp(
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
     device.start_recording();
-    fcoo::spmttkrp(device, &on_device, &refs, cfg).expect("launch");
+    on_device.spmttkrp(device, &refs, cfg).expect("launch");
     device.stop_recording()
 }
 

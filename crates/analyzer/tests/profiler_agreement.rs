@@ -8,8 +8,8 @@
 use analyzer::model::LaunchGeometry;
 use analyzer::{analyze_tensor, KernelKind, Property, Verdict};
 use fcoo::{
-    spmttkrp, spmttkrp_two_step_unified, spttm, spttmc_norder, DeviceMatrix, Fcoo, FcooDevice,
-    LaunchConfig, TensorOp,
+    spmttkrp_two_step_unified, AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig,
+    TensorOp,
 };
 use gpu_sim::{GpuDevice, LaunchTrace, MemoryEventKind};
 use tensor_core::datasets::{self, DatasetKind};
@@ -52,28 +52,29 @@ fn run_traced(
     }
     let op = kind.op(MODE, tensor.order());
     let fcoo = Fcoo::from_coo(tensor, op, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let uploaded: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("factor upload"))
         .collect();
+    let refs: Vec<&DeviceMatrix> = op
+        .factor_modes(tensor.order())
+        .into_iter()
+        .map(|m| &uploaded[m])
+        .collect();
     device.start_tracing();
     match op {
-        TensorOp::SpTtm { mode } => {
-            spttm(&device, &on_device, &uploaded[mode], &cfg).expect("spttm");
+        TensorOp::SpTtm { .. } => {
+            on_device.spttm(&device, refs[0], &cfg).expect("spttm");
         }
         TensorOp::SpMttkrp { .. } => {
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            spmttkrp(&device, &on_device, &refs, &cfg).expect("spmttkrp");
+            on_device.spmttkrp(&device, &refs, &cfg).expect("spmttkrp");
         }
         TensorOp::SpTtmc { .. } => {
-            let product: Vec<&DeviceMatrix> = on_device
-                .classification
-                .product_modes
-                .iter()
-                .map(|&m| &uploaded[m])
-                .collect();
-            spttmc_norder(&device, &on_device, &product, &cfg).expect("spttmc");
+            on_device
+                .spttmc_norder(&device, &refs, &cfg)
+                .expect("spttmc");
         }
     }
     device.stop_tracing().launches

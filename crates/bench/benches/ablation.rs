@@ -14,7 +14,8 @@ fn bench(c: &mut Criterion) {
     let (tensor, _) = datasets::generate(DatasetKind::Brainq, nnz, 2017);
     let hosts = make_factors(&tensor, SPEEDUP_RANK, 21);
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
@@ -51,7 +52,8 @@ fn bench(c: &mut Criterion) {
     for (name, cfg) in variants {
         group.bench_with_input(BenchmarkId::new("brainq", name), &(), |b, _| {
             b.iter(|| {
-                unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &cfg)
+                on_device
+                    .spmttkrp(&device, &refs, &cfg)
                     .expect("bench setup")
             })
         });

@@ -22,7 +22,8 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for mode in 0..3 {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
@@ -33,13 +34,9 @@ fn bench(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    unified_tensors::fcoo::spmttkrp(
-                        &device,
-                        &on_device,
-                        &refs,
-                        &LaunchConfig::default(),
-                    )
-                    .expect("bench setup")
+                    on_device
+                        .spmttkrp(&device, &refs, &LaunchConfig::default())
+                        .expect("bench setup")
                 })
             },
         );

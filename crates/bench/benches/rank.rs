@@ -20,20 +20,17 @@ fn bench(c: &mut Criterion) {
         for rank in [8usize, 64] {
             let u_host = DenseMatrix::random(tensor.shape()[2], rank, 13);
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 16);
-            let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+            let on_device =
+                AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
             let u = DeviceMatrix::upload(device.memory(), &u_host).expect("fits");
             group.bench_with_input(
                 BenchmarkId::new(format!("unified-{}", info.name), rank),
                 &(),
                 |b, _| {
                     b.iter(|| {
-                        unified_tensors::fcoo::spttm(
-                            &device,
-                            &on_device,
-                            &u,
-                            &LaunchConfig::default(),
-                        )
-                        .expect("bench setup")
+                        on_device
+                            .spttm(&device, &u, &LaunchConfig::default())
+                            .expect("bench setup")
                     })
                 },
             );

@@ -18,7 +18,8 @@ fn bench(c: &mut Criterion) {
         let hosts = make_factors(&tensor, SPEEDUP_RANK, 7);
         let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
@@ -26,13 +27,9 @@ fn bench(c: &mut Criterion) {
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
         group.bench_with_input(BenchmarkId::new("unified", &info.name), &(), |b, _| {
             b.iter(|| {
-                unified_tensors::fcoo::spmttkrp(
-                    &device,
-                    &on_device,
-                    &refs,
-                    &LaunchConfig::default(),
-                )
-                .expect("bench setup")
+                on_device
+                    .spmttkrp(&device, &refs, &LaunchConfig::default())
+                    .expect("bench setup")
             })
         });
         group.bench_with_input(BenchmarkId::new("parti-gpu", &info.name), &(), |b, _| {

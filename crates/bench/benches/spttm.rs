@@ -18,11 +18,13 @@ fn bench(c: &mut Criterion) {
     for (tensor, info) in bench_datasets(nnz) {
         let u_host = DenseMatrix::random(tensor.shape()[2], SPEEDUP_RANK, 5);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
         let u = DeviceMatrix::upload(device.memory(), &u_host).expect("fits");
         group.bench_with_input(BenchmarkId::new("unified", &info.name), &(), |b, _| {
             b.iter(|| {
-                unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
+                on_device
+                    .spttm(&device, &u, &LaunchConfig::default())
                     .expect("bench setup")
             })
         });

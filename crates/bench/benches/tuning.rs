@@ -21,7 +21,8 @@ fn bench(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     for (block_size, threadlen) in [(32usize, 8usize), (32, 64), (1024, 8), (1024, 64)] {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
@@ -36,7 +37,8 @@ fn bench(c: &mut Criterion) {
             &(),
             |b, _| {
                 b.iter(|| {
-                    unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &cfg)
+                    on_device
+                        .spmttkrp(&device, &refs, &cfg)
                         .expect("bench setup")
                 })
             },

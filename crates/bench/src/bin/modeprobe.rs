@@ -5,9 +5,11 @@ fn main() {
     for mode in 0..3 {
         let u_host = DenseMatrix::random(tensor.shape()[mode], 16, 9);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode }, 16);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).expect("bench setup");
+        let dev = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+            .expect("bench setup");
         let u = DeviceMatrix::upload(device.memory(), &u_host).expect("bench setup");
-        let (_, s) = unified_tensors::fcoo::spttm(&device, &dev, &u, &LaunchConfig::default())
+        let (_, s) = dev
+            .spttm(&device, &u, &LaunchConfig::default())
             .expect("bench setup");
         println!("mode {mode}: {:.1}us segs={} blocks={} waves={} trans={} bytes={} hit={:.2} atomics={} conflict_cyc={} imb={:.2}",
             s.time_us, fcoo.segments(), s.blocks, s.waves, s.transactions, s.dram_bytes, s.rocache_hit_rate, s.atomics, s.atomic_conflict_cycles, s.imbalance);

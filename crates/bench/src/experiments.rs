@@ -686,14 +686,14 @@ pub fn ablations(nnz: usize) -> Vec<AblationRow> {
     let hosts = make_factors(&tensor, SPEEDUP_RANK, 21);
     let run = |cfg: &LaunchConfig| -> f64 {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
             .collect();
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (_, stats) =
-            unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, cfg).expect("kernel");
+        let (_, stats) = on_device.spmttkrp(&device, &refs, cfg).expect("kernel");
         stats.time_us
     };
     let base = LaunchConfig::default();
@@ -818,13 +818,14 @@ pub fn run_unified_spttm(
     block_size: usize,
 ) -> (SemiSparseTensor, KernelStats) {
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode }, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
     let u = DeviceMatrix::upload(device.memory(), u_host).expect("fits");
     let cfg = LaunchConfig {
         block_size,
         ..Default::default()
     };
-    unified_tensors::fcoo::spttm(device, &on_device, &u, &cfg).expect("kernel")
+    on_device.spttm(device, &u, &cfg).expect("kernel")
 }
 
 /// Runs the unified SpMTTKRP end to end.
@@ -837,7 +838,8 @@ pub fn run_unified_mttkrp(
     block_size: usize,
 ) -> (DenseMatrix, KernelStats) {
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("fits");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("fits");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("fits"))
@@ -847,7 +849,7 @@ pub fn run_unified_mttkrp(
         block_size,
         ..Default::default()
     };
-    unified_tensors::fcoo::spmttkrp(device, &on_device, &refs, &cfg).expect("kernel")
+    on_device.spmttkrp(device, &refs, &cfg).expect("kernel")
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use crate::cp::MttkrpEngine;
 use baselines::csf::{mttkrp_csf, Csf};
-use fcoo::{DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory, Timeline};
 use tensor_core::{DenseMatrix, SparseTensorCoo};
 
@@ -45,7 +45,7 @@ impl MttkrpEngine for ReferenceEngine<'_> {
 /// iteration" (§IV-D).
 pub struct UnifiedGpuEngine {
     device: GpuDevice,
-    per_mode: Vec<FcooDevice>,
+    per_mode: Vec<AnyFormatDevice>,
     cfg: LaunchConfig,
     /// Two-stream timeline (§V-E): stream 0 runs the MTTKRP kernels, stream
     /// 1 the CUBLAS-style dense operations; Gram products of the *other*
@@ -65,7 +65,7 @@ impl UnifiedGpuEngine {
         let per_mode = (0..tensor.order())
             .map(|mode| {
                 let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-                FcooDevice::upload(device.memory(), &fcoo)
+                AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(UnifiedGpuEngine {
@@ -102,7 +102,11 @@ impl UnifiedGpuEngine {
             // into each mode's F-COO.
             cfg.block_size = block_size;
             let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-            per_mode.push(FcooDevice::upload(device.memory(), &fcoo)?);
+            per_mode.push(AnyFormatDevice::upload_as(
+                device.memory(),
+                FormatKind::Fcoo,
+                &fcoo,
+            )?);
         }
         Ok(UnifiedGpuEngine {
             device,
@@ -128,7 +132,8 @@ impl MttkrpEngine for UnifiedGpuEngine {
             })
             .collect();
         let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let (result, stats) = fcoo::spmttkrp(&self.device, &self.per_mode[mode], &refs, &self.cfg)
+        let (result, stats) = self.per_mode[mode]
+            .spmttkrp(&self.device, &refs, &self.cfg)
             .expect("device sized for CP output");
         self.last_mttkrp_finish = self.timeline.push(0, stats.time_us);
         (result, stats.time_us)

@@ -8,7 +8,7 @@
 //! (`eigendecompose WᵀW`, small: `R_a·R_b` square), avoiding any large dense
 //! factorization.
 
-use fcoo::{DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{GpuDevice, OutOfMemory};
 use tensor_core::linalg::sym_eigen;
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -101,10 +101,10 @@ pub fn tucker_hooi(
     assert!(opts.max_iters >= 1, "at least one sweep required");
 
     // Preprocess F-COO for SpTTMc on every mode, once.
-    let per_mode: Vec<FcooDevice> = (0..order)
+    let per_mode: Vec<AnyFormatDevice> = (0..order)
         .map(|mode| {
             let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtmc { mode }, 8);
-            FcooDevice::upload(device.memory(), &fcoo)
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
         })
         .collect::<Result<Vec<_>, _>>()?;
 
@@ -124,13 +124,13 @@ pub fn tucker_hooi(
         .sum();
     let cfg = LaunchConfig::default();
     let ttmc = |mode: usize, factors: &[DenseMatrix]| -> Result<DenseMatrix, OutOfMemory> {
-        let others: Vec<usize> = (0..order).filter(|&m| m != mode).collect();
-        let uploaded: Vec<DeviceMatrix> = others
-            .iter()
-            .map(|&m| DeviceMatrix::upload(device.memory(), &factors[m]))
+        let uploaded: Vec<DeviceMatrix> = TensorOp::SpTtmc { mode }
+            .factor_modes(order)
+            .into_iter()
+            .map(|m| DeviceMatrix::upload(device.memory(), &factors[m]))
             .collect::<Result<Vec<_>, _>>()?;
         let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let (w, _stats) = fcoo::spttmc_norder(device, &per_mode[mode], &refs, &cfg)?;
+        let (w, _stats) = per_mode[mode].spttmc_norder(device, &refs, &cfg)?;
         Ok(w)
     };
     for _sweep in 0..opts.max_iters {

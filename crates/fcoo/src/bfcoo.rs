@@ -177,7 +177,7 @@ mod tests {
     use super::*;
     use crate::device::DeviceMatrix;
     use crate::formats::AnyFormatDevice;
-    use crate::kernels::{self, LaunchConfig};
+    use crate::kernels::LaunchConfig;
     use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::DenseMatrix;
@@ -222,12 +222,13 @@ mod tests {
         let device = GpuDevice::titan_x();
         for mode in 0..3 {
             let bf = BfCoo::from_coo(&tensor, TensorOp::SpTtm { mode }, 8);
-            let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
+            let fc_dev =
+                AnyFormatDevice::Fcoo(FcooDevice::upload(device.memory(), &bf.base).unwrap());
             let bf_dev = AnyFormatDevice::BfCoo(BfCooDevice::upload(device.memory(), &bf).unwrap());
             let u_host = DenseMatrix::random(tensor.shape()[mode], 16, 7);
             let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
             let cfg = LaunchConfig::default();
-            let (reference, _) = kernels::spttm(&device, &fc_dev, &u, &cfg).unwrap();
+            let (reference, _) = fc_dev.spttm(&device, &u, &cfg).unwrap();
             let (result, stats) = bf_dev.spttm(&device, &u, &cfg).unwrap();
             assert_eq!(result.nfibs(), reference.nfibs());
             for fib in 0..result.nfibs() {
@@ -247,7 +248,7 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell1, 2500, 12);
         let device = GpuDevice::titan_x();
         let bf = BfCoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
+        let fc_dev = AnyFormatDevice::Fcoo(FcooDevice::upload(device.memory(), &bf.base).unwrap());
         let bf_dev = AnyFormatDevice::BfCoo(BfCooDevice::upload(device.memory(), &bf).unwrap());
         let factors: Vec<DeviceMatrix> = tensor
             .shape()
@@ -274,7 +275,7 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let (reference, _) = kernels::spmttkrp(&device, &fc_dev, &refs, &cfg).unwrap();
+            let (reference, _) = fc_dev.spmttkrp(&device, &refs, &cfg).unwrap();
             let (result, _) = bf_dev.spmttkrp(&device, &refs, &cfg).unwrap();
             assert_eq!(bits(result.data()), bits(reference.data()));
         }
@@ -285,7 +286,7 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Delicious, 2000, 13);
         let device = GpuDevice::titan_x();
         let bf = BfCoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 0 }, 8);
-        let fc_dev = FcooDevice::upload(device.memory(), &bf.base).unwrap();
+        let fc_dev = AnyFormatDevice::Fcoo(FcooDevice::upload(device.memory(), &bf.base).unwrap());
         let bf_dev = AnyFormatDevice::BfCoo(BfCooDevice::upload(device.memory(), &bf).unwrap());
         let a = DeviceMatrix::upload(
             device.memory(),
@@ -298,7 +299,7 @@ mod tests {
         )
         .unwrap();
         let cfg = LaunchConfig::default();
-        let (reference, _) = kernels::spttmc_norder(&device, &fc_dev, &[&a, &b], &cfg).unwrap();
+        let (reference, _) = fc_dev.spttmc_norder(&device, &[&a, &b], &cfg).unwrap();
         let (result, _) = bf_dev.spttmc_norder(&device, &[&a, &b], &cfg).unwrap();
         assert_eq!(bits(result.data()), bits(reference.data()));
     }

@@ -23,9 +23,10 @@
 //!
 //! The serve plan cache stores an [`AnyFormat`] (host side, hashed and
 //! persisted), the pool uploads it once into an [`AnyFormatDevice`], and
-//! the engine launches through the dispatch methods without naming a
-//! concrete format anywhere. Each dispatch method is one call into the
-//! unified kernel skeleton with the format's gather schedule.
+//! the engine launches through it without naming a concrete format
+//! anywhere. [`AnyFormatDevice`] is the only public way to launch a
+//! unified kernel: every launch is one call into the kernel skeleton with
+//! the format's gather schedule.
 
 use crate::bfcoo::{bucket_counts, BfCoo, BfCooDevice};
 use crate::device::{DeviceMatrix, FcooDevice};
@@ -148,15 +149,6 @@ impl AnyFormat {
         }
     }
 
-    /// The F-COO payload as a shared handle (serialization reuses the
-    /// F-COO stream for every format).
-    pub fn base_arc(&self) -> Arc<Fcoo> {
-        match self {
-            AnyFormat::Fcoo(f) => Arc::clone(f),
-            AnyFormat::BfCoo(b) => Arc::new(b.base.clone()),
-        }
-    }
-
     /// Non-zeros per thread partition.
     pub fn threadlen(&self) -> usize {
         self.base().threadlen
@@ -179,8 +171,8 @@ impl AnyFormat {
     }
 }
 
-/// A device-resident format of either kind, dispatching the unified
-/// kernels to the format's gather schedule.
+/// A device-resident format of either kind, launching the unified kernels
+/// with the format's gather schedule.
 #[derive(Debug)]
 pub enum AnyFormatDevice {
     /// Uploaded F-COO.
@@ -234,42 +226,99 @@ impl AnyFormatDevice {
         }
     }
 
-    /// Dispatched [`crate::spttm`].
+    /// Sparse tensor-times-matrix `Y = X ×ₙ U`: the format must have been
+    /// preprocessed for SpTTM on the mode `u` multiplies. Returns the
+    /// semi-sparse result and the simulated kernel statistics.
+    ///
+    /// # Panics
+    /// If the format was preprocessed for another operation or `u` has the
+    /// wrong row count.
     pub fn spttm(
         &self,
         device: &GpuDevice,
         u: &DeviceMatrix,
         cfg: &LaunchConfig,
     ) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-        let (base, layout) = self.launch_parts();
-        kernels::spttm_with_layout(device, base, u, cfg, layout)
+        let base = self.base();
+        assert!(
+            matches!(base.op, TensorOp::SpTtm { .. }),
+            "F-COO was preprocessed for {:?}, not SpTTM",
+            base.op
+        );
+        let (out, stats) = self.launch(device, &[u], cfg)?;
+        let r = u.cols();
+        let values = out.to_vec();
+        let mut result = SemiSparseTensor::new(base.shape.clone(), base.op.mode(), r);
+        for seg in 0..base.segments() {
+            let coord: Vec<u32> = base
+                .segment_coords_host
+                .iter()
+                .map(|column| column[seg])
+                .collect();
+            result.push_fiber(&coord, &values[seg * r..(seg + 1) * r]);
+        }
+        Ok((result, stats))
     }
 
-    /// Dispatched [`crate::spttm_into`].
-    pub fn spttm_into(
-        &self,
-        device: &GpuDevice,
-        u: &DeviceMatrix,
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        let (base, layout) = self.launch_parts();
-        kernels::spttm_into_with_layout(device, base, u, cfg, out, layout)
-    }
-
-    /// Dispatched [`crate::spmttkrp`].
+    /// Sparse MTTKRP `M = X₍ₙ₎ (⊙ factors)` with the unified one-shot
+    /// kernel. `factors` holds one matrix per tensor mode; the entry at the
+    /// operating mode is ignored. Returns the dense `shape[mode] × R`
+    /// result.
+    ///
+    /// # Panics
+    /// If the format was preprocessed for another operation or the factor
+    /// shapes are inconsistent.
     pub fn spmttkrp(
         &self,
         device: &GpuDevice,
         factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        let (base, layout) = self.launch_parts();
-        kernels::spmttkrp_with_layout(device, base, factors, cfg, layout)
+        let op = self.base().op;
+        assert!(
+            matches!(op, TensorOp::SpMttkrp { .. }),
+            "F-COO was preprocessed for {op:?}, not SpMTTKRP"
+        );
+        self.launch_dense(device, factors, cfg)
     }
 
-    /// Dispatched [`crate::spmttkrp_into`].
-    pub fn spmttkrp_into(
+    /// Sparse TTM-chain (paper Eq. 4) for tensors of any order: one factor
+    /// per product mode in ascending mode order. The `shape[mode] × Π R_p`
+    /// output has the last product mode varying fastest (matching
+    /// `tensor_core::ops::spttmc_norder`).
+    ///
+    /// # Panics
+    /// If the format was preprocessed for another operation or the factor
+    /// shapes are inconsistent.
+    pub fn spttmc_norder(
+        &self,
+        device: &GpuDevice,
+        product_factors: &[&DeviceMatrix],
+        cfg: &LaunchConfig,
+    ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
+        let op = self.base().op;
+        assert!(
+            matches!(op, TensorOp::SpTtmc { .. }),
+            "F-COO was preprocessed for {op:?}, not SpTTMc"
+        );
+        self.launch_dense(device, product_factors, cfg)
+    }
+
+    /// Launches the unified kernel for the operation the format was
+    /// preprocessed for (`base().op`), with `factors` in
+    /// [`TensorOp::factor_modes`] order, into the caller's `out`.
+    ///
+    /// `out` is accumulated into, not cleared: an all-zero buffer
+    /// reproduces the allocating launches exactly, while a buffer whose
+    /// first row carries a running partial sum extends that sum (the
+    /// out-of-core chunk-boundary seeding of `crates/ooc`). The output is
+    /// `segments × R` for SpTTM (one row per fiber, in the order of
+    /// `segment_coords_host`) and `shape[mode] × cols` otherwise.
+    ///
+    /// # Panics
+    /// If the factor shapes are inconsistent with the format or `out` has
+    /// the wrong length.
+    pub fn launch_into(
         &self,
         device: &GpuDevice,
         factors: &[&DeviceMatrix],
@@ -277,30 +326,43 @@ impl AnyFormatDevice {
         out: &DeviceBuffer<f32>,
     ) -> KernelStats {
         let (base, layout) = self.launch_parts();
-        kernels::spmttkrp_into_with_layout(device, base, factors, cfg, out, layout)
+        let seeded = |len| {
+            assert_eq!(out.len(), len, "output buffer size mismatch");
+            Ok(out)
+        };
+        let (_, stats) = kernels::launch(device, base, layout, factors, cfg, seeded)
+            .expect("a seeded launch allocates nothing");
+        stats
     }
 
-    /// Dispatched [`crate::spttmc_norder`].
-    pub fn spttmc_norder(
+    /// The unified launch into a fresh zeroed output buffer.
+    fn launch(
         &self,
         device: &GpuDevice,
-        product_factors: &[&DeviceMatrix],
+        factors: &[&DeviceMatrix],
+        cfg: &LaunchConfig,
+    ) -> Result<(DeviceBuffer<f32>, KernelStats), OutOfMemory> {
+        let (base, layout) = self.launch_parts();
+        kernels::launch(device, base, layout, factors, cfg, |len| {
+            device.memory().alloc_zeroed(len)
+        })
+    }
+
+    /// [`AnyFormatDevice::launch`] read back as the dense
+    /// `shape[mode] × cols` result of SpMTTKRP or SpTTMc.
+    fn launch_dense(
+        &self,
+        device: &GpuDevice,
+        factors: &[&DeviceMatrix],
         cfg: &LaunchConfig,
     ) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-        let (base, layout) = self.launch_parts();
-        kernels::spttmc_norder_with_layout(device, base, product_factors, cfg, layout)
-    }
-
-    /// Dispatched [`crate::spttmc_norder_into`].
-    pub fn spttmc_norder_into(
-        &self,
-        device: &GpuDevice,
-        product_factors: &[&DeviceMatrix],
-        cfg: &LaunchConfig,
-        out: &DeviceBuffer<f32>,
-    ) -> KernelStats {
-        let (base, layout) = self.launch_parts();
-        kernels::spttmc_norder_into_with_layout(device, base, product_factors, cfg, out, layout)
+        let (out, stats) = self.launch(device, factors, cfg)?;
+        let base = self.base();
+        let rows = base.shape[base.op.mode()];
+        Ok((
+            DenseMatrix::from_vec(rows, out.len() / rows, out.to_vec()),
+            stats,
+        ))
     }
 }
 

@@ -30,8 +30,8 @@ use gpu_sim::memory::DeviceBuffer;
 use gpu_sim::scan::{block_segscan_cycles, warp_segscan_cycles};
 use gpu_sim::stats::BlockStats;
 use gpu_sim::{DeviceConfig, GpuDevice, KernelStats, OutOfMemory};
+use std::borrow::Borrow;
 use std::collections::HashMap;
-use tensor_core::{DenseMatrix, SemiSparseTensor};
 
 /// Warp-shuffle operations each BF-COO gather run spends demultiplexing the
 /// bucketed lanes back onto their owning threads (arXiv:1904.03329 §4: one
@@ -97,428 +97,109 @@ impl LaunchConfig {
     }
 }
 
-/// Sparse tensor-times-matrix `Y = X ×ₙ U` with the unified kernel.
+/// Launches the unified kernel for the operation `fcoo` was preprocessed
+/// for: the one entry behind every public launch.
 ///
-/// `fcoo` must have been preprocessed with [`TensorOp::SpTtm`] on the same
-/// mode that `u` multiplies. Returns the semi-sparse result and the
-/// simulated kernel statistics.
-///
-/// # Panics
-/// If `fcoo` was preprocessed for a different operation or `u` has the wrong
-/// row count.
-pub fn spttm(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-    spttm_with_layout(device, fcoo, u, cfg, GatherLayout::Strided)
-}
-
-pub(crate) fn spttm_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(SemiSparseTensor, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpTtm { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTM"),
-    };
-    assert_eq!(
-        u.rows(),
-        fcoo.shape[mode],
-        "matrix rows must match product-mode size"
-    );
-    let r = u.cols();
-    let segments = fcoo.segments();
-    let out = device.memory().alloc_zeroed::<f32>(segments * r)?;
-    let stats = spttm_into_with_layout(device, fcoo, u, cfg, &out, layout);
-    let mut result = SemiSparseTensor::new(fcoo.shape.clone(), mode, r);
-    let values = out.to_vec();
-    for seg in 0..segments {
-        let coord: Vec<u32> = fcoo
-            .segment_coords_host
-            .iter()
-            .map(|column| column[seg])
-            .collect();
-        result.push_fiber(&coord, &values[seg * r..(seg + 1) * r]);
-    }
-    Ok((result, stats))
-}
-
-/// [`spttm`] into a caller-provided `segments × R` output buffer.
-///
-/// The buffer is accumulated into, not cleared: an all-zero buffer
-/// reproduces [`spttm`] exactly, while a buffer whose first row carries a
-/// running partial sum extends that sum — the out-of-core path's
-/// chunk-boundary seeding (`crates/ooc`). Returns the kernel statistics;
-/// the caller assembles the semi-sparse result from the buffer and the
-/// format's `segment_coords_host`.
+/// `factors` follows [`TensorOp::factor_modes`]. Once their shapes are
+/// checked, `output` provisions the `rows × cols` output buffer from its
+/// element count: a fresh zeroed allocation, or a caller-seeded buffer the
+/// kernel accumulates into without clearing. An all-zero buffer reproduces
+/// a fresh launch exactly; a buffer whose carried-in row holds a running
+/// partial sum extends that sum (the out-of-core chunk seeding of
+/// `crates/ooc`).
 ///
 /// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `segments × R` elements.
-pub fn spttm_into(
+/// If the factor count or shapes do not match the format.
+pub(crate) fn launch<B: Borrow<DeviceBuffer<f32>>>(
     device: &GpuDevice,
     fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spttm_into_with_layout(device, fcoo, u, cfg, out, GatherLayout::Strided)
-}
-
-pub(crate) fn spttm_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    u: &DeviceMatrix,
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
     layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpTtm { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTM"),
-    };
-    assert_eq!(
-        u.rows(),
-        fcoo.shape[mode],
-        "matrix rows must match product-mode size"
-    );
-    let r = u.cols();
-    assert_eq!(
-        out.len(),
-        fcoo.segments() * r,
-        "output buffer size mismatch"
-    );
-    let k_indices = &fcoo.product_indices[0];
-    let factor_ws = u.rows() * u.cols() * 4;
-    run_unified(
-        device,
-        fcoo,
-        cfg,
-        layout,
-        r,
-        out,
-        r,
-        &[ColumnAccess::of(u, 1)],
-        factor_ws,
-        |seg| seg,
-        None,
-        2,
-        |nz, col| fcoo.values.get(nz) * u.get(k_indices.get(nz) as usize, col),
-        |nz, col, addrs| addrs.push(u.addr(k_indices.get(nz) as usize, col)),
-    )
-}
-
-/// Sparse MTTKRP `M = X₍ₙ₎ (⊙ factors)` with the unified one-shot kernel.
-///
-/// `factors` holds one device matrix per tensor mode; the entry at the
-/// operating mode is ignored. Returns the dense `shape[mode] × R` result.
-///
-/// # Panics
-/// If `fcoo` was preprocessed for a different operation or factor shapes are
-/// inconsistent.
-pub fn spmttkrp(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
     factors: &[&DeviceMatrix],
     cfg: &LaunchConfig,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    spmttkrp_with_layout(device, fcoo, factors, cfg, GatherLayout::Strided)
-}
-
-pub(crate) fn spmttkrp_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpMttkrp { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpMTTKRP"),
+    output: impl FnOnce(usize) -> Result<B, OutOfMemory>,
+) -> Result<(B, KernelStats), OutOfMemory> {
+    let op = fcoo.op;
+    let factor_modes = op.factor_modes(fcoo.shape.len());
+    assert_eq!(
+        factors.len(),
+        factor_modes.len(),
+        "{} takes one factor for each of modes {factor_modes:?}",
+        op.label()
+    );
+    let product_modes = &fcoo.classification.product_modes;
+    // One factor per product mode, in product-mode order: the SpMTTKRP
+    // factor list also holds the (unread) operating mode's entry.
+    let product_factors: Vec<&DeviceMatrix> = match op {
+        TensorOp::SpMttkrp { .. } => product_modes.iter().map(|&m| factors[m]).collect(),
+        TensorOp::SpTtm { .. } | TensorOp::SpTtmc { .. } => factors.to_vec(),
     };
-    let order = fcoo.shape.len();
-    assert_eq!(factors.len(), order, "one factor per mode required");
-    let product_modes = &fcoo.classification.product_modes;
-    let r = factors[product_modes[0]].cols();
-    for &m in product_modes {
-        assert_eq!(
-            factors[m].rows(),
-            fcoo.shape[m],
-            "factor {m} row count mismatch"
-        );
-        assert_eq!(factors[m].cols(), r, "factor {m} column count mismatch");
-    }
-    let rows = fcoo.shape[mode];
-    let out = device.memory().alloc_zeroed::<f32>(rows * r)?;
-    let stats = spmttkrp_into_with_layout(device, fcoo, factors, cfg, &out, layout);
-    Ok((DenseMatrix::from_vec(rows, r, out.to_vec()), stats))
-}
-
-/// [`spmttkrp`] into a caller-provided `shape[mode] × R` output buffer.
-///
-/// Accumulates into `out` without clearing it (see [`spttm_into`] for the
-/// out-of-core seeding contract). Returns the kernel statistics.
-///
-/// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `shape[mode] × R` elements.
-pub fn spmttkrp_into(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spmttkrp_into_with_layout(device, fcoo, factors, cfg, out, GatherLayout::Strided)
-}
-
-pub(crate) fn spmttkrp_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpMttkrp { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpMTTKRP"),
-    };
-    let order = fcoo.shape.len();
-    assert_eq!(factors.len(), order, "one factor per mode required");
-    let product_modes = &fcoo.classification.product_modes;
-    let r = factors[product_modes[0]].cols();
-    for &m in product_modes {
-        assert_eq!(
-            factors[m].rows(),
-            fcoo.shape[m],
-            "factor {m} row count mismatch"
-        );
-        assert_eq!(factors[m].cols(), r, "factor {m} column count mismatch");
-    }
-    let rows = fcoo.shape[mode];
-    assert_eq!(out.len(), rows * r, "output buffer size mismatch");
-    let slice_of_seg = &fcoo.segment_coords_host[0];
-    let product_factors: Vec<&DeviceMatrix> = product_modes.iter().map(|&m| factors[m]).collect();
-    let factor_ws: usize = product_factors
-        .iter()
-        .map(|f| f.rows() * f.cols() * 4)
-        .sum();
-    let accesses: Vec<ColumnAccess<'_>> = product_factors
-        .iter()
-        .map(|f| ColumnAccess::of(f, 1))
-        .collect();
-    run_unified(
-        device,
-        fcoo,
-        cfg,
-        layout,
-        r,
-        out,
-        r,
-        &accesses,
-        factor_ws,
-        |seg| slice_of_seg[seg] as usize,
-        Some(&fcoo.segment_coords[0]),
-        1 + product_modes.len() as u64,
-        |nz, col| {
-            let mut product = fcoo.values.get(nz);
-            for (factor, indices) in product_factors.iter().zip(&fcoo.product_indices) {
-                product *= factor.get(indices.get(nz) as usize, col);
-            }
-            product
-        },
-        |nz, col, addrs| {
-            for (factor, indices) in product_factors.iter().zip(&fcoo.product_indices) {
-                addrs.push(factor.addr(indices.get(nz) as usize, col));
-            }
-        },
-    )
-}
-
-/// Sparse TTM-chain on 3-order tensors (paper Eq. 4): the matricized
-/// `Y₍ₙ₎ = Σ X(i,j,k) · (U_a(a,:) ⊗ U_b(b,:))`.
-///
-/// `factor_a`/`factor_b` correspond to the two product modes in ascending
-/// mode order. Returns the `shape[mode] × (R_a · R_b)` result.
-pub fn spttmc(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    factor_a: &DeviceMatrix,
-    factor_b: &DeviceMatrix,
-    cfg: &LaunchConfig,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    assert_eq!(
-        fcoo.shape.len(),
-        3,
-        "use spttmc_norder for non-3-order tensors"
-    );
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        factor_a.rows(),
-        fcoo.shape[product_modes[0]],
-        "factor A row mismatch"
-    );
-    assert_eq!(
-        factor_b.rows(),
-        fcoo.shape[product_modes[1]],
-        "factor B row mismatch"
-    );
-    spttmc_norder(device, fcoo, &[factor_a, factor_b], cfg)
-}
-
-/// Sparse TTM-chain for tensors of any order: one factor per product mode in
-/// ascending mode order; the output has `Π R_p` columns with the last
-/// product mode varying fastest (matching `tensor_core::ops::spttmc_norder`).
-pub fn spttmc_norder(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    spttmc_norder_with_layout(device, fcoo, product_factors, cfg, GatherLayout::Strided)
-}
-
-pub(crate) fn spttmc_norder_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    layout: GatherLayout<'_>,
-) -> Result<(DenseMatrix, KernelStats), OutOfMemory> {
-    let mode = match fcoo.op {
-        TensorOp::SpTtmc { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTMc"),
-    };
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        product_factors.len(),
-        product_modes.len(),
-        "one factor per product mode required"
-    );
-    for (&m, factor) in product_modes.iter().zip(product_factors) {
+    let factor_cols: Vec<usize> = factors.iter().map(|f| f.cols()).collect();
+    let cols = op.output_cols(&factor_cols);
+    for (&m, factor) in product_modes.iter().zip(&product_factors) {
         assert_eq!(
             factor.rows(),
             fcoo.shape[m],
-            "factor row mismatch on mode {m}"
+            "factor row count mismatch on mode {m}"
         );
+        if let TensorOp::SpMttkrp { .. } = op {
+            assert_eq!(factor.cols(), cols, "factor {m} column count mismatch");
+        }
     }
-    let columns: usize = product_factors.iter().map(|f| f.cols()).product();
-    let rows = fcoo.shape[mode];
-    let out = device.memory().alloc_zeroed::<f32>(rows * columns)?;
-    let stats = spttmc_norder_into_with_layout(device, fcoo, product_factors, cfg, &out, layout);
-    Ok((DenseMatrix::from_vec(rows, columns, out.to_vec()), stats))
-}
-
-/// [`spttmc_norder`] into a caller-provided `shape[mode] × Π R_p` output
-/// buffer.
-///
-/// Accumulates into `out` without clearing it (see [`spttm_into`] for the
-/// out-of-core seeding contract). Returns the kernel statistics.
-///
-/// # Panics
-/// If the format/op/factor shapes are inconsistent or `out` is not exactly
-/// `shape[mode] × Π R_p` elements.
-pub fn spttmc_norder_into(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-) -> KernelStats {
-    spttmc_norder_into_with_layout(
-        device,
-        fcoo,
-        product_factors,
-        cfg,
-        out,
-        GatherLayout::Strided,
-    )
-}
-
-pub(crate) fn spttmc_norder_into_with_layout(
-    device: &GpuDevice,
-    fcoo: &FcooDevice,
-    product_factors: &[&DeviceMatrix],
-    cfg: &LaunchConfig,
-    out: &DeviceBuffer<f32>,
-    layout: GatherLayout<'_>,
-) -> KernelStats {
-    let mode = match fcoo.op {
-        TensorOp::SpTtmc { mode } => mode,
-        other => panic!("F-COO was preprocessed for {other:?}, not SpTTMc"),
+    let (rows, row_of_seg, coord_buffer) = match op {
+        TensorOp::SpTtm { .. } => (fcoo.segments(), None, None),
+        TensorOp::SpMttkrp { mode } | TensorOp::SpTtmc { mode } => (
+            fcoo.shape[mode],
+            Some(&fcoo.segment_coords_host[0]),
+            Some(&fcoo.segment_coords[0]),
+        ),
     };
-    let product_modes = &fcoo.classification.product_modes;
-    assert_eq!(
-        product_factors.len(),
-        product_modes.len(),
-        "one factor per product mode required"
-    );
-    for (&m, factor) in product_modes.iter().zip(product_factors) {
-        assert_eq!(
-            factor.rows(),
-            fcoo.shape[m],
-            "factor row mismatch on mode {m}"
-        );
+    let out = output(rows * cols)?;
+    // Mixed-radix place of each product factor's digit in the output
+    // column: 1 for SpTTM and SpMTTKRP (every factor reads column `col`);
+    // for the SpTTMc Kronecker column, last factor fastest (matching
+    // `tensor_core::ops::spttmc_norder`).
+    let mut places = vec![1usize; product_factors.len()];
+    if let TensorOp::SpTtmc { .. } = op {
+        for p in (0..product_factors.len().saturating_sub(1)).rev() {
+            places[p] = places[p + 1] * product_factors[p + 1].cols();
+        }
     }
-    let columns: usize = product_factors.iter().map(|f| f.cols()).product();
-    // Mixed-radix strides over the Kronecker column: last factor fastest.
-    let mut strides = vec![1usize; product_factors.len()];
-    for p in (0..product_factors.len().saturating_sub(1)).rev() {
-        strides[p] = strides[p + 1] * product_factors[p + 1].cols();
-    }
-    let rows = fcoo.shape[mode];
-    assert_eq!(out.len(), rows * columns, "output buffer size mismatch");
-    let slice_of_seg = &fcoo.segment_coords_host[0];
-    let factor_ws: usize = product_factors
-        .iter()
-        .map(|f| f.rows() * f.cols() * 4)
-        .sum();
-    let digit = |col: usize, p: usize| (col / strides[p]) % product_factors[p].cols();
     let accesses: Vec<ColumnAccess<'_>> = product_factors
         .iter()
-        .zip(&strides)
+        .zip(&places)
         .map(|(f, &place)| ColumnAccess::of(f, place))
         .collect();
-    run_unified(
+    let factor_ws: usize = product_factors
+        .iter()
+        .map(|f| f.rows() * f.cols() * 4)
+        .sum();
+    let stats = run_unified(
         device,
         fcoo,
         cfg,
         layout,
-        columns,
-        out,
-        columns,
+        cols,
+        out.borrow(),
+        cols,
         &accesses,
         factor_ws,
-        |seg| slice_of_seg[seg] as usize,
-        Some(&fcoo.segment_coords[0]),
+        |seg| row_of_seg.map_or(seg, |rows| rows[seg] as usize),
+        coord_buffer,
         1 + product_factors.len() as u64,
         |nz, col| {
             let mut product = fcoo.values.get(nz);
-            for (p, (factor, indices)) in product_factors
-                .iter()
-                .zip(&fcoo.product_indices)
-                .enumerate()
-            {
-                product *= factor.get(indices.get(nz) as usize, digit(col, p));
+            for (access, indices) in accesses.iter().zip(&fcoo.product_indices) {
+                product *= access.get(indices.get(nz) as usize, col);
             }
             product
         },
         |nz, col, addrs| {
-            for (p, (factor, indices)) in product_factors
-                .iter()
-                .zip(&fcoo.product_indices)
-                .enumerate()
-            {
-                addrs.push(factor.addr(indices.get(nz) as usize, digit(col, p)));
+            for (access, indices) in accesses.iter().zip(&fcoo.product_indices) {
+                addrs.push(access.addr(indices.get(nz) as usize, col));
             }
         },
-    )
+    );
+    Ok((out, stats))
 }
 
 /// A row-major array (a factor matrix or the output) as the unified kernel
@@ -542,8 +223,25 @@ impl<'a> ColumnAccess<'a> {
         }
     }
 
+    /// The word column `col` touches in each row. A place-1 access with
+    /// `col` inside the row (every SpTTM and SpMTTKRP factor) skips the
+    /// division in the kernel's per-non-zero loop.
+    #[inline]
     fn word(&self, col: usize) -> usize {
-        (col / self.place) % self.stride
+        if self.place == 1 && col < self.stride {
+            col
+        } else {
+            (col / self.place) % self.stride
+        }
+    }
+
+    #[inline]
+    fn get(&self, row: usize, col: usize) -> f32 {
+        self.buffer.get(row * self.stride + self.word(col))
+    }
+
+    fn addr(&self, row: usize, col: usize) -> u64 {
+        self.buffer.addr(row * self.stride + self.word(col))
     }
 }
 
@@ -973,9 +671,11 @@ fn finalize_segment<RowOf: Fn(usize) -> usize>(
 mod tests {
     use super::*;
     use crate::format::Fcoo;
+    use crate::formats::{AnyFormatDevice, FormatKind};
     use tensor_core::approx::assert_slices_close;
     use tensor_core::datasets::{self, DatasetKind};
     use tensor_core::ops;
+    use tensor_core::DenseMatrix;
     use tensor_core::SparseTensorCoo;
 
     fn upload_factors(
@@ -998,10 +698,10 @@ mod tests {
     fn check_spttm(tensor: &SparseTensorCoo, mode: usize, r: usize, cfg: &LaunchConfig) {
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let u_host = DenseMatrix::random(tensor.shape()[mode], r, 7);
         let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
-        let (result, stats) = spttm(&device, &dev, &u, cfg).unwrap();
+        let (result, stats) = dev.spttm(&device, &u, cfg).unwrap();
         let reference = ops::spttm(tensor, mode, &u_host);
         let diff = result
             .max_abs_diff(&reference)
@@ -1013,15 +713,19 @@ mod tests {
     fn check_spmttkrp(tensor: &SparseTensorCoo, mode: usize, r: usize, cfg: &LaunchConfig) {
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let factors = upload_factors(&device, tensor, r, 40);
         let factor_refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (result, _) = spmttkrp(&device, &dev, &factor_refs, cfg).unwrap();
+        let (result, _) = dev.spmttkrp(&device, &factor_refs, cfg).unwrap();
         let host_factors: Vec<DenseMatrix> = factors.iter().map(|f| f.download()).collect();
         let host_refs: Vec<&DenseMatrix> = host_factors.iter().collect();
         let reference = ops::spmttkrp(tensor, mode, &host_refs);
         let diff = result.max_abs_diff(&reference);
         assert!(diff < 1e-3, "mode {mode} diff {diff}");
+    }
+
+    fn upload(device: &GpuDevice, fcoo: &Fcoo) -> AnyFormatDevice {
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, fcoo).unwrap()
     }
 
     /// A row-major `rows × cols` zero matrix on `device`.
@@ -1166,9 +870,9 @@ mod tests {
         let reference = ops::spttm(&tensor, 2, &u_host);
         for threadlen in [1, 3, 8, 16, 64] {
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, threadlen);
-            let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+            let dev = upload(&device, &fcoo);
             let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
-            let (result, _) = spttm(&device, &dev, &u, &LaunchConfig::default()).unwrap();
+            let (result, _) = dev.spttm(&device, &u, &LaunchConfig::default()).unwrap();
             let diff = result
                 .max_abs_diff(&reference)
                 .expect("fiber sets must match");
@@ -1181,12 +885,14 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 2000, 16);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 0 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let a_host = DenseMatrix::random(tensor.shape()[1], 4, 21);
         let b_host = DenseMatrix::random(tensor.shape()[2], 3, 22);
         let a = DeviceMatrix::upload(device.memory(), &a_host).unwrap();
         let b = DeviceMatrix::upload(device.memory(), &b_host).unwrap();
-        let (result, _) = spttmc(&device, &dev, &a, &b, &LaunchConfig::default()).unwrap();
+        let (result, _) = dev
+            .spttmc_norder(&device, &[&a, &b], &LaunchConfig::default())
+            .unwrap();
         let reference = ops::spttmc(
             &tensor,
             0,
@@ -1201,7 +907,7 @@ mod tests {
         let tensor = tensor_core::datasets::generate_norder(&[10, 8, 12, 6], 1_500, 0.5, 44);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 1 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let hosts: Vec<DenseMatrix> = fcoo
             .classification
             .product_modes
@@ -1214,7 +920,9 @@ mod tests {
             .map(|f| DeviceMatrix::upload(device.memory(), f).unwrap())
             .collect();
         let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-        let (result, _) = spttmc_norder(&device, &dev, &refs, &LaunchConfig::default()).unwrap();
+        let (result, _) = dev
+            .spttmc_norder(&device, &refs, &LaunchConfig::default())
+            .unwrap();
         let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
         let reference = tensor_core::ops::spttmc_norder(&tensor, 1, &host_refs);
         assert!(
@@ -1229,20 +937,22 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Brainq, 20_000, 17);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let factors = upload_factors(&device, &tensor, 16, 50);
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (_, scan_stats) = spmttkrp(&device, &dev, &refs, &LaunchConfig::default()).unwrap();
-        let (_, atomic_stats) = spmttkrp(
-            &device,
-            &dev,
-            &refs,
-            &LaunchConfig {
-                use_segscan: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, scan_stats) = dev
+            .spmttkrp(&device, &refs, &LaunchConfig::default())
+            .unwrap();
+        let (_, atomic_stats) = dev
+            .spmttkrp(
+                &device,
+                &refs,
+                &LaunchConfig {
+                    use_segscan: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         // With scan, atomics only occur on partition-boundary segments.
         assert!(scan_stats.atomics < atomic_stats.atomics / 4);
         assert!(
@@ -1259,10 +969,10 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Brainq, 20_000, 18);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let u_host = DenseMatrix::random(tensor.shape()[2], 16, 5);
         let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
-        let (_, with) = spttm(&device, &dev, &u, &LaunchConfig::default()).unwrap();
+        let (_, with) = dev.spttm(&device, &u, &LaunchConfig::default()).unwrap();
         assert!(
             with.rocache_hit_rate > 0.5,
             "hit rate {}",
@@ -1277,21 +987,21 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell1, 20_000, 18);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let u_host = DenseMatrix::random(tensor.shape()[2], 16, 5);
         assert!(u_host.rows() * u_host.cols() * 4 > device.config().l2_bytes);
         let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
-        let (_, with) = spttm(&device, &dev, &u, &LaunchConfig::default()).unwrap();
-        let (_, without) = spttm(
-            &device,
-            &dev,
-            &u,
-            &LaunchConfig {
-                use_rocache: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, with) = dev.spttm(&device, &u, &LaunchConfig::default()).unwrap();
+        let (_, without) = dev
+            .spttm(
+                &device,
+                &u,
+                &LaunchConfig {
+                    use_rocache: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert!(with.dram_bytes < without.dram_bytes);
     }
 
@@ -1303,10 +1013,12 @@ mod tests {
         for kind in [DatasetKind::Brainq, DatasetKind::Nell1] {
             let (tensor, _) = datasets::generate(kind, 20_000, 19);
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
-            let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+            let dev = upload(&device, &fcoo);
             let factors = upload_factors(&device, &tensor, 16, 60);
             let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            let (_, stats) = spmttkrp(&device, &dev, &refs, &LaunchConfig::default()).unwrap();
+            let (_, stats) = dev
+                .spmttkrp(&device, &refs, &LaunchConfig::default())
+                .unwrap();
             rates.push(stats.rocache_hit_rate);
         }
         assert!(
@@ -1322,20 +1034,20 @@ mod tests {
         let (tensor, _) = datasets::generate(DatasetKind::Nell2, 5_000, 20);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let u_host = DenseMatrix::random(tensor.shape()[2], 16, 5);
         let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
-        let (_, fused) = spttm(&device, &dev, &u, &LaunchConfig::default()).unwrap();
-        let (_, unfused) = spttm(
-            &device,
-            &dev,
-            &u,
-            &LaunchConfig {
-                use_fusion: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let (_, fused) = dev.spttm(&device, &u, &LaunchConfig::default()).unwrap();
+        let (_, unfused) = dev
+            .spttm(
+                &device,
+                &u,
+                &LaunchConfig {
+                    use_fusion: false,
+                    ..Default::default()
+                },
+            )
+            .unwrap();
         assert!(unfused.time_us > fused.time_us);
     }
 
@@ -1359,10 +1071,12 @@ mod tests {
         let x = [1.0f32, 2.0, 3.0, 4.0, 5.0];
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&matrix, TensorOp::SpTtm { mode: 1 }, 2);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let x_mat = DeviceMatrix::upload(device.memory(), &DenseMatrix::from_vec(5, 1, x.to_vec()))
             .unwrap();
-        let (result, _) = spttm(&device, &dev, &x_mat, &LaunchConfig::default()).unwrap();
+        let (result, _) = dev
+            .spttm(&device, &x_mat, &LaunchConfig::default())
+            .unwrap();
         // y = A·x by hand: y0 = 2·1 + 1·5 = 7, y2 = -3·2 = -6, y3 = 4·4 = 16,
         // y5 = 0.5·1 + 2.5·5 = 13. Rows 1 and 4 are empty (absent fibers).
         let mut y = vec![0.0f32; 6];
@@ -1387,9 +1101,9 @@ mod tests {
         let dense = DenseMatrix::random(3, 4, 77);
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&matrix, TensorOp::SpTtm { mode: 1 }, 4);
-        let dev = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let dev = upload(&device, &fcoo);
         let d = DeviceMatrix::upload(device.memory(), &dense).unwrap();
-        let (result, _) = spttm(&device, &dev, &d, &LaunchConfig::default()).unwrap();
+        let (result, _) = dev.spttm(&device, &d, &LaunchConfig::default()).unwrap();
         let reference = tensor_core::ops::spttm(&matrix, 1, &dense);
         assert_eq!(result.max_abs_diff(&reference), Some(0.0));
     }
@@ -1435,7 +1149,7 @@ mod tests {
         let device = GpuDevice::new(gpu_sim::DeviceConfig::titan_x_scaled_memory(3e-6));
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
         // Upload fits, but the output allocation must fail.
-        match FcooDevice::upload(device.memory(), &fcoo) {
+        match AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo) {
             Err(_) => {} // upload itself may already exceed the budget
             Ok(dev) => {
                 let mut factors = Vec::new();
@@ -1447,7 +1161,9 @@ mod tests {
                     }
                 }
                 let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-                assert!(spmttkrp(&device, &dev, &refs, &LaunchConfig::default()).is_err());
+                assert!(dev
+                    .spmttkrp(&device, &refs, &LaunchConfig::default())
+                    .is_err());
             }
         }
     }

@@ -7,9 +7,9 @@
 //! 1. **[`Fcoo`]** — the flagged-coordinate storage format: product-mode
 //!    indices plus one-bit change flags for the index modes (§IV-B, Fig. 2,
 //!    Table II);
-//! 2. **unified kernels** — [`spttm`], [`spmttkrp`] and [`spttmc`] share one
-//!    one-shot kernel skeleton parameterized only by the Table I mode
-//!    classification (§IV-C);
+//! 2. **unified kernels** — SpTTM, SpMTTKRP and SpTTMc share one one-shot
+//!    kernel skeleton parameterized only by the Table I mode classification
+//!    (§IV-C), launched through [`AnyFormatDevice`] for every format;
 //! 3. **GPU-specific optimizations** — segmented scan instead of atomics,
 //!    read-only-cache factor reads, kernel fusion via adjacent
 //!    synchronization, warp shuffle (§IV-D), all toggleable through
@@ -22,7 +22,7 @@
 //! the simulator's analytic model.
 //!
 //! ```
-//! use fcoo::{Fcoo, FcooDevice, DeviceMatrix, LaunchConfig, TensorOp};
+//! use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 //! use gpu_sim::GpuDevice;
 //! use tensor_core::{DenseMatrix, SparseTensorCoo};
 //!
@@ -32,9 +32,9 @@
 //! );
 //! let device = GpuDevice::titan_x();
 //! let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-//! let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+//! let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).unwrap();
 //! let u = DeviceMatrix::upload(device.memory(), &DenseMatrix::random(6, 16, 1)).unwrap();
-//! let (result, stats) = fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default()).unwrap();
+//! let (result, stats) = on_device.spttm(&device, &u, &LaunchConfig::default()).unwrap();
 //! assert_eq!(result.nfibs(), 2); // fibers (0,1) and (3,4)
 //! assert!(stats.time_us > 0.0);
 //! ```
@@ -48,7 +48,6 @@ pub mod format;
 pub mod formats;
 pub mod kernels;
 pub mod modes;
-pub mod multi;
 pub mod serialize;
 pub mod tune;
 pub mod two_step;
@@ -58,12 +57,8 @@ pub use chunk::{extract, split, ChunkDescriptor, ChunkPlan};
 pub use device::{DeviceMatrix, FcooDevice};
 pub use format::{table2_coo_bytes, table2_fcoo_bytes, BitFlags, Fcoo, StorageBreakdown};
 pub use formats::{AnyFormat, AnyFormatDevice, FormatKind};
-pub use kernels::{
-    spmttkrp, spmttkrp_into, spttm, spttm_into, spttmc, spttmc_norder, spttmc_norder_into,
-    LaunchConfig, BUCKET_SHUFFLE_OPS,
-};
+pub use kernels::{LaunchConfig, BUCKET_SHUFFLE_OPS};
 pub use modes::{ModeClassification, TensorOp};
-pub use multi::{spmttkrp_multi_gpu, MultiGpuStats};
 pub use serialize::{read_fcoo, write_fcoo, DecodeError};
 pub use tune::{
     tune, tune_format_with_filter, tune_with_filter, TunePoint, TuneResult, BLOCK_SIZES, THREADLENS,

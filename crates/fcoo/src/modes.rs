@@ -36,6 +36,30 @@ impl TensorOp {
         }
     }
 
+    /// Modes whose factor matrices the operation's kernel takes, in the
+    /// kernel's factor order: `[mode]` for SpTTM, every mode for SpMTTKRP
+    /// (the operating mode's entry is ignored), the product modes in
+    /// ascending order for SpTTMc.
+    pub fn factor_modes(&self, order: usize) -> Vec<usize> {
+        match *self {
+            TensorOp::SpTtm { mode } => vec![mode],
+            TensorOp::SpMttkrp { .. } => (0..order).collect(),
+            TensorOp::SpTtmc { mode } => (0..order).filter(|&m| m != mode).collect(),
+        }
+    }
+
+    /// Output columns the operation produces from factors with `cols`
+    /// columns each, in [`TensorOp::factor_modes`] order: the rank of the
+    /// first product-mode factor for SpTTM and SpMTTKRP, the Kronecker
+    /// width `Π R_p` for SpTTMc.
+    pub fn output_cols(&self, cols: &[usize]) -> usize {
+        match *self {
+            TensorOp::SpTtm { .. } => cols[0],
+            TensorOp::SpMttkrp { mode } => cols[usize::from(mode == 0)],
+            TensorOp::SpTtmc { .. } => cols.iter().product(),
+        }
+    }
+
     /// Short display name, e.g. `SpTTM(mode-3)` (1-based like the paper).
     pub fn label(&self) -> String {
         match *self {
@@ -139,6 +163,19 @@ mod tests {
         assert_eq!(c.sort_order(), vec![1, 2, 0]);
         let m = ModeClassification::classify(TensorOp::SpMttkrp { mode: 1 }, 3);
         assert_eq!(m.sort_order(), vec![1, 0, 2]);
+    }
+
+    #[test]
+    fn factor_modes_follow_each_kernels_factor_order() {
+        assert_eq!(TensorOp::SpTtm { mode: 2 }.factor_modes(4), vec![2]);
+        assert_eq!(
+            TensorOp::SpMttkrp { mode: 1 }.factor_modes(3),
+            vec![0, 1, 2]
+        );
+        assert_eq!(TensorOp::SpTtmc { mode: 1 }.factor_modes(4), vec![0, 2, 3]);
+        assert_eq!(TensorOp::SpTtmc { mode: 0 }.factor_modes(2), vec![1]);
+        assert_eq!(TensorOp::SpMttkrp { mode: 0 }.output_cols(&[9, 4, 4]), 4);
+        assert_eq!(TensorOp::SpTtmc { mode: 0 }.output_cols(&[3, 5]), 15);
     }
 
     #[test]

@@ -286,21 +286,23 @@ mod tests {
 
     #[test]
     fn decoded_instance_runs_on_the_device() {
-        use crate::device::{DeviceMatrix, FcooDevice};
+        use crate::device::DeviceMatrix;
+        use crate::formats::{AnyFormatDevice, FormatKind};
         let original = sample(TensorOp::SpTtm { mode: 2 });
         let mut buffer = Vec::new();
         write_fcoo(&original, &mut buffer).unwrap();
         let decoded = read_fcoo(buffer.as_slice()).unwrap();
         let device = gpu_sim::GpuDevice::titan_x();
-        let on_device = FcooDevice::upload(device.memory(), &decoded).unwrap();
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &decoded).unwrap();
         let u = DeviceMatrix::upload(
             device.memory(),
             &tensor_core::DenseMatrix::random(decoded.shape[2], 8, 1),
         )
         .unwrap();
-        let (result, _) =
-            crate::kernels::spttm(&device, &on_device, &u, &crate::LaunchConfig::default())
-                .unwrap();
+        let (result, _) = on_device
+            .spttm(&device, &u, &crate::LaunchConfig::default())
+            .unwrap();
         assert_eq!(result.nfibs(), decoded.segments());
     }
 

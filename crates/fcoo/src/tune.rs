@@ -176,38 +176,19 @@ fn run_once_any(
     cfg: &LaunchConfig,
 ) -> f64 {
     let base = format.base();
-    match base.op {
-        TensorOp::SpTtm { mode } => {
-            let u = DeviceMatrix::upload(device.memory(), &factors[mode]).expect("factor upload");
-            let (_, stats) = format.spttm(device, &u, cfg).expect("spttm launch");
-            stats.time_us
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let uploaded: Vec<DeviceMatrix> = factors
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f).expect("factor upload"))
-                .collect();
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) = format
-                .spmttkrp(device, &refs, cfg)
-                .expect("spmttkrp launch");
-            stats.time_us
-        }
-        TensorOp::SpTtmc { .. } => {
-            let pm = &base.classification.product_modes;
-            let uploaded: Vec<DeviceMatrix> = pm
-                .iter()
-                .map(|&m| {
-                    DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload")
-                })
-                .collect();
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            let (_, stats) = format
-                .spttmc_norder(device, &refs, cfg)
-                .expect("spttmc launch");
-            stats.time_us
-        }
-    }
+    let uploaded: Vec<DeviceMatrix> = base
+        .op
+        .factor_modes(base.shape.len())
+        .into_iter()
+        .map(|m| DeviceMatrix::upload(device.memory(), &factors[m]).expect("factor upload"))
+        .collect();
+    let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
+    let launched = match base.op {
+        TensorOp::SpTtm { .. } => format.spttm(device, refs[0], cfg).map(|(_, s)| s),
+        TensorOp::SpMttkrp { .. } => format.spmttkrp(device, &refs, cfg).map(|(_, s)| s),
+        TensorOp::SpTtmc { .. } => format.spttmc_norder(device, &refs, cfg).map(|(_, s)| s),
+    };
+    launched.expect("tuning launch").time_us
 }
 
 #[cfg(test)]

@@ -7,15 +7,16 @@
 //!
 //! `M(i,:) = Σ_j ( Σ_k X(i,j,k)·C(k,:) ) ∗ B(j,:)`
 //!
-//! Step 1 is [`kernels::spttm`] along the last product mode. Step 2 scales
+//! Step 1 is [`AnyFormatDevice::spttm`] along the last product mode. Step 2 scales
 //! each intermediate fiber by the matching `B` row and reduces fibers with
 //! equal output coordinate — the same segmented-scan accumulation as the
 //! one-shot kernel, but now reading `nfibs × R` dense values from the
 //! intermediate instead of `nnz` scalars.
 
-use crate::device::{DeviceMatrix, FcooDevice};
+use crate::device::DeviceMatrix;
 use crate::format::Fcoo;
-use crate::kernels::{self, LaunchConfig};
+use crate::formats::{AnyFormatDevice, FormatKind};
+use crate::kernels::LaunchConfig;
 use crate::modes::TensorOp;
 use gpu_sim::{GpuDevice, KernelStats, OutOfMemory};
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -61,9 +62,9 @@ pub fn spmttkrp_two_step_unified(
         },
         threadlen,
     );
-    let step1_dev = FcooDevice::upload(device.memory(), &fcoo)?;
+    let step1_dev = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)?;
     let c = DeviceMatrix::upload(device.memory(), host_factors[second_product])?;
-    let (intermediate, step1_stats) = kernels::spttm(device, &step1_dev, &c, cfg)?;
+    let (intermediate, step1_stats) = step1_dev.spttm(device, &c, cfg)?;
     drop((step1_dev, c));
 
     // Host-side bookkeeping for step 2: fibers sorted by output row so that
@@ -286,14 +287,16 @@ mod tests {
         let refs: Vec<&DenseMatrix> = hosts.iter().collect();
         let device = GpuDevice::titan_x();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).unwrap();
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).unwrap())
             .collect();
         let factor_refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (_, one_shot) =
-            kernels::spmttkrp(&device, &on_device, &factor_refs, &LaunchConfig::default()).unwrap();
+        let (_, one_shot) = on_device
+            .spmttkrp(&device, &factor_refs, &LaunchConfig::default())
+            .unwrap();
         let outcome =
             spmttkrp_two_step_unified(&device, &tensor, 0, &refs, 16, &LaunchConfig::default())
                 .unwrap();

@@ -79,7 +79,7 @@ pub fn check_run(envelope: &CounterEnvelope, run: &ChunkedRun) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_chunked;
+    use crate::executor::run_chunked_format;
     use fcoo::TensorOp;
     use gpu_sim::GpuDevice;
     use tensor_core::datasets::{self, DatasetKind};
@@ -103,7 +103,8 @@ mod tests {
             let budget = (fcoo.storage().total_bytes() / divisor).max(1);
             let plan = fcoo::split(&fcoo, budget);
             let envelope = pipeline_envelope(device.config(), &fcoo, &plan, RANK, &cfg);
-            let run = run_chunked(&device, &fcoo, &plan, &factors, &cfg).expect("chunked run");
+            let run = run_chunked_format(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
+                .expect("chunked run");
             assert_eq!(
                 check_run(&envelope, &run),
                 Vec::<String>::new(),
@@ -129,15 +130,8 @@ mod tests {
         let plan = fcoo::split(&fcoo, budget);
         let envelope =
             pipeline_envelope_format(device.config(), FormatKind::BfCoo, &fcoo, &plan, RANK, &cfg);
-        let run = crate::executor::run_chunked_format(
-            &device,
-            FormatKind::BfCoo,
-            &fcoo,
-            &plan,
-            &factors,
-            &cfg,
-        )
-        .expect("chunked run");
+        let run = run_chunked_format(&device, FormatKind::BfCoo, &fcoo, &plan, &factors, &cfg)
+            .expect("chunked run");
         assert_eq!(check_run(&envelope, &run), Vec::<String>::new());
         assert_eq!(envelope.launches, plan.len() as u64);
         // The strided envelope certifies the same launch count but models
@@ -161,7 +155,9 @@ mod tests {
         let cfg = LaunchConfig::with_block_size(64);
         let plan = fcoo::split(&fcoo, (fcoo.storage().total_bytes() / 3).max(1));
         let envelope = pipeline_envelope(device.config(), &fcoo, &plan, RANK, &cfg);
-        let mut run = run_chunked(&device, &fcoo, &plan, &factors, &cfg).expect("chunked run");
+        let mut run =
+            run_chunked_format(&device, FormatKind::Fcoo, &fcoo, &plan, &factors[..1], &cfg)
+                .expect("chunked run");
         run.stats.time_us = envelope.stats_time_us().hi * 2.0 + 1.0;
         let violations = check_run(&envelope, &run);
         assert_eq!(violations.len(), 1, "{violations:?}");

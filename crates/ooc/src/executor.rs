@@ -135,11 +135,8 @@ impl Accumulator {
 
 /// Output columns `fcoo`'s operation produces with these factors.
 pub fn output_cols(fcoo: &Fcoo, factors: &[DenseMatrix]) -> usize {
-    match fcoo.op {
-        TensorOp::SpTtm { .. } => factors[0].cols(),
-        TensorOp::SpMttkrp { .. } => factors[fcoo.classification.product_modes[0]].cols(),
-        TensorOp::SpTtmc { .. } => factors.iter().map(DenseMatrix::cols).product(),
-    }
+    let cols: Vec<usize> = factors.iter().map(DenseMatrix::cols).collect();
+    fcoo.op.output_cols(&cols)
 }
 
 /// Uploads one chunk-local F-COO format as `kind`, runs its unified kernel
@@ -147,10 +144,9 @@ pub fn output_cols(fcoo: &Fcoo, factors: &[DenseMatrix]) -> usize {
 /// format-specific metadata (e.g. BF-COO buckets, a pure function of the
 /// chunk-local coordinate stream) is derived on the way.
 ///
-/// `factors` follows the in-core kernel conventions: `[U]` for SpTTM, one
-/// matrix per tensor mode for SpMTTKRP, one per product mode (ascending)
-/// for SpTTMc. The chunk's device allocations are freed on return — only
-/// the factors persist across chunks.
+/// `factors` follows [`TensorOp::factor_modes`]. The chunk's device
+/// allocations are freed on return — only the factors persist across
+/// chunks.
 pub fn run_chunk_format(
     device: &GpuDevice,
     kind: FormatKind,
@@ -161,11 +157,7 @@ pub fn run_chunk_format(
 ) -> Result<(Vec<f32>, KernelStats), OutOfMemory> {
     let format = AnyFormatDevice::upload_as(device.memory(), kind, chunk)?;
     let out = device.memory().alloc_from_slice(seed)?;
-    let stats = match chunk.op {
-        TensorOp::SpTtm { .. } => format.spttm_into(device, factors[0], cfg, &out),
-        TensorOp::SpMttkrp { .. } => format.spmttkrp_into(device, factors, cfg, &out),
-        TensorOp::SpTtmc { .. } => format.spttmc_norder_into(device, factors, cfg, &out),
-    };
+    let stats = format.launch_into(device, factors, cfg, &out);
     Ok((out.to_vec(), stats))
 }
 
@@ -201,25 +193,16 @@ pub struct ChunkedRun {
     pub stats: KernelStats,
 }
 
-/// Streams `fcoo` through `plan` on `device` and returns the accumulated
-/// output. `factors` are host matrices in the [`run_chunk_format`] convention;
-/// they are uploaded once and shared by every chunk.
-pub fn run_chunked(
-    device: &GpuDevice,
-    fcoo: &Fcoo,
-    plan: &ChunkPlan,
-    factors: &[DenseMatrix],
-    cfg: &LaunchConfig,
-) -> Result<ChunkedRun, OutOfMemory> {
-    run_chunked_format(device, FormatKind::Fcoo, fcoo, plan, factors, cfg)
-}
-
-/// [`run_chunked`] generalized over the sparse format: every chunk is
-/// executed via [`run_chunk_format`], so a BF-COO stream rebuilds each
-/// chunk's bucket metadata locally while the carry-row accumulation stays
-/// format-independent (the bucketed schedule permutes gathers within a
-/// thread, never the segment fold order, so outputs remain bit-exact with
-/// the strided path).
+/// Streams `fcoo` through `plan` on `device` as format `kind` and returns
+/// the accumulated output. `factors` are host matrices in the
+/// [`run_chunk_format`] convention; they are uploaded once and shared by
+/// every chunk.
+///
+/// Every chunk is executed via [`run_chunk_format`], so a BF-COO stream
+/// rebuilds each chunk's bucket metadata locally while the carry-row
+/// accumulation stays format-independent (the bucketed schedule permutes
+/// gathers within a thread, never the segment fold order, so outputs remain
+/// bit-exact with the strided path).
 pub fn run_chunked_format(
     device: &GpuDevice,
     kind: FormatKind,
@@ -265,7 +248,7 @@ pub fn run_chunked_format(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fcoo::{DeviceMatrix, FcooDevice};
+    use fcoo::DeviceMatrix;
     use tensor_core::datasets::{self, DatasetKind};
 
     /// Small enough that grid_x·columns ≤ 8 blocks (one worker chunk), which
@@ -291,19 +274,27 @@ mod tests {
             .map(|m| factor(t.shape()[m], 40 + m as u64))
             .collect();
         let device = GpuDevice::titan_x();
-        let format = FcooDevice::upload(device.memory(), &f).unwrap();
+        let format = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &f).unwrap();
         let dev_factors: Vec<DeviceMatrix> = factors
             .iter()
             .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
             .collect();
         let refs: Vec<&DeviceMatrix> = dev_factors.iter().collect();
         let cfg = LaunchConfig::default();
-        let (reference, _) = fcoo::spmttkrp(&device, &format, &refs, &cfg).unwrap();
+        let (reference, _) = format.spmttkrp(&device, &refs, &cfg).unwrap();
 
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 4, "budget must force a real pipeline");
         let streaming_device = GpuDevice::titan_x();
-        let run = run_chunked(&streaming_device, &f, &plan, &factors, &cfg).unwrap();
+        let run = run_chunked_format(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(run.rows, reference.rows());
         assert_eq!(run.cols, reference.cols());
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
@@ -317,16 +308,23 @@ mod tests {
         let f = Fcoo::from_coo(&t, TensorOp::SpTtm { mode: 2 }, THREADLEN);
         let u = factor(t.shape()[2], 77);
         let device = GpuDevice::titan_x();
-        let format = FcooDevice::upload(device.memory(), &f).unwrap();
+        let format = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &f).unwrap();
         let du = DeviceMatrix::upload(device.memory(), &u).unwrap();
         let cfg = LaunchConfig::default();
-        let (reference, _) = fcoo::spttm(&device, &format, &du, &cfg).unwrap();
+        let (reference, _) = format.spttm(&device, &du, &cfg).unwrap();
 
         let plan = chunk::split(&f, 1536);
         assert!(plan.len() >= 4);
         let streaming_device = GpuDevice::titan_x();
-        let run =
-            run_chunked(&streaming_device, &f, &plan, std::slice::from_ref(&u), &cfg).unwrap();
+        let run = run_chunked_format(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            std::slice::from_ref(&u),
+            &cfg,
+        )
+        .unwrap();
         let ref_bits: Vec<u32> = reference.values().iter().map(|v| v.to_bits()).collect();
         let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, got_bits);
@@ -340,16 +338,24 @@ mod tests {
         let a = DenseMatrix::random(t.shape()[1], 2, 91);
         let b = DenseMatrix::random(t.shape()[2], 2, 92);
         let device = GpuDevice::titan_x();
-        let format = FcooDevice::upload(device.memory(), &f).unwrap();
+        let format = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &f).unwrap();
         let da = DeviceMatrix::upload(device.memory(), &a).unwrap();
         let db = DeviceMatrix::upload(device.memory(), &b).unwrap();
         let cfg = LaunchConfig::default();
-        let (reference, _) = fcoo::spttmc_norder(&device, &format, &[&da, &db], &cfg).unwrap();
+        let (reference, _) = format.spttmc_norder(&device, &[&da, &db], &cfg).unwrap();
 
         let plan = chunk::split(&f, 2048);
         assert!(plan.len() >= 3);
         let streaming_device = GpuDevice::titan_x();
-        let run = run_chunked(&streaming_device, &f, &plan, &[a, b], &cfg).unwrap();
+        let run = run_chunked_format(
+            &streaming_device,
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &[a, b],
+            &cfg,
+        )
+        .unwrap();
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
         let got_bits: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, got_bits);
@@ -363,14 +369,14 @@ mod tests {
             .map(|m| factor(t.shape()[m], 40 + m as u64))
             .collect();
         let device = GpuDevice::titan_x();
-        let format = FcooDevice::upload(device.memory(), &f).unwrap();
+        let format = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &f).unwrap();
         let dev_factors: Vec<DeviceMatrix> = factors
             .iter()
             .map(|h| DeviceMatrix::upload(device.memory(), h).unwrap())
             .collect();
         let refs: Vec<&DeviceMatrix> = dev_factors.iter().collect();
         let cfg = LaunchConfig::default();
-        let (reference, _) = fcoo::spmttkrp(&device, &format, &refs, &cfg).unwrap();
+        let (reference, _) = format.spmttkrp(&device, &refs, &cfg).unwrap();
         let ref_bits: Vec<u32> = reference.data().iter().map(|v| v.to_bits()).collect();
 
         let plan = chunk::split(&f, 2048);
@@ -387,7 +393,15 @@ mod tests {
         let bf_bits: Vec<u32> = bf_run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ref_bits, bf_bits, "BF-COO chunked diverged from in-core");
 
-        let fcoo_run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg).unwrap();
+        let fcoo_run = run_chunked_format(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         let fcoo_bits: Vec<u32> = fcoo_run.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(bf_bits, fcoo_bits, "formats diverged on the chunked path");
         // BF-COO chunks stream the extra bucket metadata host→device.
@@ -432,7 +446,15 @@ mod tests {
                     .unwrap();
             acc.absorb(desc, &chunk_fcoo, &out);
         }
-        let clean = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg).unwrap();
+        let clean = run_chunked_format(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         let a: Vec<u32> = acc.values().iter().map(|v| v.to_bits()).collect();
         let b: Vec<u32> = clean.values.iter().map(|v| v.to_bits()).collect();
         assert_eq!(a, b, "per-chunk retry must be idempotent");

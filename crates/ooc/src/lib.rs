@@ -18,20 +18,22 @@
 //! it, [`bound`] pulls in the analyzer's cost interpreter to certify a
 //! whole-pipeline counter envelope for any chunk plan before it runs —
 //! the bound `tensortool oocbench` checks every streamed execution
-//! against.
+//! against. [`multi`] places the same chunk plans across several devices
+//! instead of across time.
 
 #![warn(missing_docs)]
 
 pub mod bound;
 pub mod executor;
+pub mod multi;
 pub mod pipeline;
 
 pub use bound::{check_run, pipeline_envelope, pipeline_envelope_format};
 pub use executor::{
-    output_cols, run_chunk_format, run_chunked, run_chunked_format, Accumulator, ChunkReport,
-    ChunkedRun,
+    output_cols, run_chunk_format, run_chunked_format, Accumulator, ChunkReport, ChunkedRun,
 };
 pub use fcoo::chunk::{extract, split, ChunkDescriptor, ChunkPlan};
+pub use multi::{spmttkrp_multi_gpu, MultiGpuStats};
 pub use pipeline::{
     schedule, schedule_on, ChunkSchedule, PipelineBuilder, PipelineTiming, StageTimes,
 };

@@ -8,9 +8,9 @@
 //! which keeps the cases fast. Bitwise comparison holds at any size:
 //! boundary carries fold in launch order, whatever the host schedule.
 
-use fcoo::{chunk, DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{chunk, AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::GpuDevice;
-use ooc::run_chunked;
+use ooc::run_chunked_format;
 use proptest::prelude::*;
 use tensor_core::datasets::{self, DatasetKind};
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -44,10 +44,11 @@ fn host_factors(t: &SparseTensorCoo, op: TensorOp, seed: u64) -> Vec<DenseMatrix
     }
 }
 
-/// In-core reference output as raw bits, via the one-shot wrappers.
+/// In-core reference output as raw bits, via the one-shot launches.
 fn in_core_bits(f: &Fcoo, factors: &[DenseMatrix], cfg: &LaunchConfig) -> Vec<u32> {
     let device = GpuDevice::titan_x();
-    let format = FcooDevice::upload(device.memory(), f).expect("in-core upload");
+    let format =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, f).expect("in-core upload");
     let uploaded: Vec<DeviceMatrix> = factors
         .iter()
         .map(|h| DeviceMatrix::upload(device.memory(), h).expect("factor upload"))
@@ -55,15 +56,15 @@ fn in_core_bits(f: &Fcoo, factors: &[DenseMatrix], cfg: &LaunchConfig) -> Vec<u3
     let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
     match f.op {
         TensorOp::SpTtm { .. } => {
-            let (out, _) = fcoo::spttm(&device, &format, refs[0], cfg).expect("spttm");
+            let (out, _) = format.spttm(&device, refs[0], cfg).expect("spttm");
             out.values().iter().map(|v| v.to_bits()).collect()
         }
         TensorOp::SpMttkrp { .. } => {
-            let (out, _) = fcoo::spmttkrp(&device, &format, &refs, cfg).expect("spmttkrp");
+            let (out, _) = format.spmttkrp(&device, &refs, cfg).expect("spmttkrp");
             out.data().iter().map(|v| v.to_bits()).collect()
         }
         TensorOp::SpTtmc { .. } => {
-            let (out, _) = fcoo::spttmc_norder(&device, &format, &refs, cfg).expect("spttmc");
+            let (out, _) = format.spttmc_norder(&device, &refs, cfg).expect("spttmc");
             out.data().iter().map(|v| v.to_bits()).collect()
         }
     }
@@ -97,8 +98,15 @@ proptest! {
         let reference = in_core_bits(&f, &factors, &cfg);
         let plan = chunk::split(&f, budget);
         prop_assert_eq!(plan.total_nnz(), f.nnz());
-        let run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg)
-            .expect("streaming run");
+        let run = run_chunked_format(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .expect("streaming run");
         let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(
             reference,
@@ -146,8 +154,15 @@ proptest! {
         let factors = host_factors(&t, op, factor_seed);
         let cfg = LaunchConfig::default();
         let reference = in_core_bits(&f, &factors, &cfg);
-        let run = run_chunked(&GpuDevice::titan_x(), &f, &plan, &factors, &cfg)
-            .expect("streaming run");
+        let run = run_chunked_format(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &f,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .expect("streaming run");
         let got: Vec<u32> = run.values.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(reference, got, "carried segment double- or under-counted");
     }

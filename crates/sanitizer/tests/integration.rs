@@ -3,7 +3,7 @@
 //! SpMTTKRP-style accumulation must be flagged (while its atomic twin is
 //! not).
 
-use fcoo::{DeviceMatrix, Fcoo, FcooDevice, LaunchConfig, TensorOp};
+use fcoo::{AnyFormatDevice, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp};
 use gpu_sim::{FaultConfig, FaultEvent, GpuDevice};
 use sanitizer::{Pass, Severity};
 use tensor_core::{DenseMatrix, SparseTensorCoo};
@@ -114,9 +114,12 @@ fn unified_kernels_are_sanitizer_clean() {
 
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, threadlen);
             assert!(sanitizer::check_fcoo(&fcoo).is_clean());
-            let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            let dev_fcoo = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+                .expect("upload");
             device.start_recording();
-            fcoo::spmttkrp(&device, &dev_fcoo, &mat_refs, &cfg).expect("spmttkrp");
+            dev_fcoo
+                .spmttkrp(&device, &mat_refs, &cfg)
+                .expect("spmttkrp");
             let report = sanitizer::analyze(&device.stop_recording());
             assert!(
                 report.is_clean(),
@@ -125,9 +128,10 @@ fn unified_kernels_are_sanitizer_clean() {
 
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, threadlen);
             assert!(sanitizer::check_fcoo(&fcoo).is_clean());
-            let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            let dev_fcoo = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+                .expect("upload");
             device.start_recording();
-            fcoo::spttm(&device, &dev_fcoo, &mats[2], &cfg).expect("spttm");
+            dev_fcoo.spttm(&device, &mats[2], &cfg).expect("spttm");
             let report = sanitizer::analyze(&device.stop_recording());
             assert!(
                 report.is_clean(),
@@ -136,9 +140,12 @@ fn unified_kernels_are_sanitizer_clean() {
 
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtmc { mode: 1 }, threadlen);
             assert!(sanitizer::check_fcoo(&fcoo).is_clean());
-            let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            let dev_fcoo = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+                .expect("upload");
             device.start_recording();
-            fcoo::spttmc(&device, &dev_fcoo, &mats[0], &mats[2], &cfg).expect("spttmc");
+            dev_fcoo
+                .spttmc_norder(&device, &[&mats[0], &mats[2]], &cfg)
+                .expect("spttmc");
             let report = sanitizer::analyze(&device.stop_recording());
             assert!(
                 report.is_clean(),
@@ -160,9 +167,12 @@ fn ablation_kernel_without_segscan_is_clean() {
     let mats = factors(&device, &tensor, 4);
     let mat_refs: Vec<&DeviceMatrix> = mats.iter().collect();
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 1 }, 4);
-    let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let dev_fcoo =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     device.start_recording();
-    fcoo::spmttkrp(&device, &dev_fcoo, &mat_refs, &cfg).expect("spmttkrp");
+    dev_fcoo
+        .spmttkrp(&device, &mat_refs, &cfg)
+        .expect("spmttkrp");
     let report = sanitizer::analyze(&device.stop_recording());
     assert!(report.is_clean(), "{report}");
 }
@@ -197,7 +207,8 @@ fn faulted_attempts_are_discarded_and_the_retry_replays_clean() {
     let build = |device: &GpuDevice| {
         let mats = factors(device, &tensor, 8);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 4);
-        let dev_fcoo = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+        let dev_fcoo =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
         (mats, dev_fcoo)
     };
 
@@ -205,7 +216,8 @@ fn faulted_attempts_are_discarded_and_the_retry_replays_clean() {
         let device = GpuDevice::titan_x();
         let (mats, dev_fcoo) = build(&device);
         let mat_refs: Vec<&DeviceMatrix> = mats.iter().collect();
-        fcoo::spmttkrp(&device, &dev_fcoo, &mat_refs, &cfg)
+        dev_fcoo
+            .spmttkrp(&device, &mat_refs, &cfg)
             .expect("reference")
             .0
     };
@@ -226,7 +238,9 @@ fn faulted_attempts_are_discarded_and_the_retry_replays_clean() {
     let mut survivor = None;
     for _attempt in 0..16 {
         device.start_recording();
-        let (result, _) = fcoo::spmttkrp(&device, &dev_fcoo, &mat_refs, &cfg).expect("spmttkrp");
+        let (result, _) = dev_fcoo
+            .spmttkrp(&device, &mat_refs, &cfg)
+            .expect("spmttkrp");
         let log = device.stop_recording();
         // Integrity barrier: any corrupting event voids the attempt — its
         // result *and* its recording are discarded together.

@@ -563,21 +563,11 @@ pub fn factor_seed_for_mode(factor_seed: u64, mode: usize) -> u64 {
         .wrapping_add(1)
 }
 
-/// Modes whose factor matrices `op` reads, in the kernels' factor order:
-/// `[U]` for SpTTM, every mode for SpMTTKRP, the product modes (ascending)
-/// for SpTTMc.
-fn factor_modes(order: usize, op: TensorOp) -> Vec<usize> {
-    match op {
-        TensorOp::SpTtm { mode } => vec![mode],
-        TensorOp::SpMttkrp { .. } => (0..order).collect(),
-        TensorOp::SpTtmc { mode } => (0..order).filter(|&m| m != mode).collect(),
-    }
-}
-
 /// The host factor matrices a request for `op` uses, in the kernels'
-/// factor order, each seeded by [`factor_seed_for_mode`].
+/// factor order ([`TensorOp::factor_modes`]), each seeded by
+/// [`factor_seed_for_mode`].
 fn op_factors(shape: &[usize], op: TensorOp, rank: usize, factor_seed: u64) -> Vec<DenseMatrix> {
-    factor_modes(shape.len(), op)
+    op.factor_modes(shape.len())
         .into_iter()
         .map(|m| DenseMatrix::random(shape[m], rank, factor_seed_for_mode(factor_seed, m)))
         .collect()
@@ -2388,7 +2378,8 @@ impl ServeEngine {
 /// before its kernel can start — the transfer term of the certified
 /// completion-time lower bound the deadline shedder uses.
 fn factor_bytes_for(fcoo: &Fcoo, rank: usize) -> usize {
-    factor_modes(fcoo.shape.len(), fcoo.op)
+    fcoo.op
+        .factor_modes(fcoo.shape.len())
         .into_iter()
         .map(|m| fcoo.shape[m] * rank * 4)
         .sum()

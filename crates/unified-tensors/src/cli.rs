@@ -72,13 +72,13 @@ pub fn generate(kind_name: &str, nnz: usize, path: &Path) -> Result<String, CliE
 pub fn spttm(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String, CliError> {
     check_mode(tensor, mode)?;
     let device = GpuDevice::titan_x();
-    let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
+    let op = TensorOp::SpTtm { mode };
+    let fcoo = Fcoo::from_coo(tensor, op, 16);
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
         .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let u_host = DenseMatrix::random(tensor.shape()[mode], rank, 1);
-    let u = DeviceMatrix::upload(device.memory(), &u_host)
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let (result, stats) = crate::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
+    let u = upload_factors(&device, &random_factors(tensor.shape(), op, rank))?;
+    let (result, stats) = on_device
+        .spttm(&device, &u[0], &LaunchConfig::default())
         .map_err(|e| err(format!("device out of memory: {e}")))?;
     let checksum: f64 = result.values().iter().map(|&v| v as f64).sum();
     Ok(format!(
@@ -95,24 +95,15 @@ pub fn spttm(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Strin
 pub fn mttkrp(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<String, CliError> {
     check_mode(tensor, mode)?;
     let device = GpuDevice::titan_x();
-    let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
+    let op = TensorOp::SpMttkrp { mode };
+    let fcoo = Fcoo::from_coo(tensor, op, 16);
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
         .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let hosts: Vec<DenseMatrix> = tensor
-        .shape()
-        .iter()
-        .enumerate()
-        .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-        .collect();
-    let factors: Vec<DeviceMatrix> = hosts
-        .iter()
-        .map(|f| DeviceMatrix::upload(device.memory(), f))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let factors = upload_factors(&device, &random_factors(tensor.shape(), op, rank))?;
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let (result, stats) =
-        crate::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-            .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let (result, stats) = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
+        .map_err(|e| err(format!("device out of memory: {e}")))?;
     let checksum: f64 = result.data().iter().map(|&v| v as f64).sum();
     Ok(format!(
         "SpMTTKRP(mode-{}) rank {rank}: {:.1} µs simulated, output {}x{}, \
@@ -197,48 +188,12 @@ pub fn run_cached(path: &Path, rank: usize) -> Result<String, CliError> {
     let fcoo = crate::fcoo::read_fcoo(std::io::BufReader::new(file))
         .map_err(|e| err(format!("cannot decode {}: {e}", path.display())))?;
     let device = GpuDevice::titan_x();
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
         .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let cfg = LaunchConfig::default();
-    let stats = match fcoo.op {
-        TensorOp::SpTtm { mode } => {
-            let u_host = DenseMatrix::random(fcoo.shape[mode], rank, 1);
-            let u = DeviceMatrix::upload(device.memory(), &u_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            crate::fcoo::spttm(&device, &on_device, &u, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let hosts: Vec<DenseMatrix> = fcoo
-                .shape
-                .iter()
-                .enumerate()
-                .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-                .collect();
-            let factors: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            crate::fcoo::spmttkrp(&device, &on_device, &refs, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-        TensorOp::SpTtmc { .. } => {
-            let pm = &fcoo.classification.product_modes;
-            let a_host = DenseMatrix::random(fcoo.shape[pm[0]], rank, 1);
-            let b_host = DenseMatrix::random(fcoo.shape[pm[1]], rank, 2);
-            let a = DeviceMatrix::upload(device.memory(), &a_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let b = DeviceMatrix::upload(device.memory(), &b_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            crate::fcoo::spttmc(&device, &on_device, &a, &b, &cfg)
-                .map_err(|e| err(format!("device out of memory: {e}")))?
-                .1
-        }
-    };
+    let hosts = random_factors(&fcoo.shape, fcoo.op, rank);
+    let factors = upload_factors(&device, &hosts)?;
+    let stats = launch_stats(&device, &on_device, &factors, &LaunchConfig::default())
+        .map_err(|e| err(format!("device out of memory: {e}")))?;
     Ok(format!(
         "{} rank {rank}: {:.1} µs simulated, {} blocks in {} waves, \
          {:.1}% cache hits\n",
@@ -260,25 +215,18 @@ pub fn bench(tensor: &SparseTensorCoo, mode: usize, rank: usize) -> Result<Strin
         ));
     }
     let device = GpuDevice::titan_x();
-    let hosts: Vec<DenseMatrix> = tensor
-        .shape()
-        .iter()
-        .enumerate()
-        .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-        .collect();
+    let op = TensorOp::SpMttkrp { mode };
+    let hosts = random_factors(tensor.shape(), op, rank);
     let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
     let mut out = String::new();
 
-    let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo)
+    let fcoo = Fcoo::from_coo(tensor, op, 16);
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
         .map_err(|e| err(format!("device out of memory: {e}")))?;
-    let factors: Vec<DeviceMatrix> = hosts
-        .iter()
-        .map(|f| DeviceMatrix::upload(device.memory(), f))
-        .collect::<Result<Vec<_>, _>>()
-        .map_err(|e| err(format!("device out of memory: {e}")))?;
+    let factors = upload_factors(&device, &hosts)?;
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let (_, unified) = crate::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
+    let (_, unified) = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
         .map_err(|e| err(format!("device out of memory: {e}")))?;
     let _ = writeln!(out, "unified   (sim GPU): {:>10.1} µs", unified.time_us);
 
@@ -344,41 +292,9 @@ pub fn sanitize(
         .upload(device.memory())
         .map_err(|e| err(format!("device out of memory: {e}")))?;
     device.start_recording();
-    let launch_result = match op {
-        TensorOp::SpTtm { .. } => {
-            let u_host = DenseMatrix::random(tensor.shape()[mode], rank, 1);
-            let u = DeviceMatrix::upload(device.memory(), &u_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            on_device.spttm(&device, &u, &cfg).map(|_| ())
-        }
-        TensorOp::SpMttkrp { .. } => {
-            let hosts: Vec<DenseMatrix> = tensor
-                .shape()
-                .iter()
-                .enumerate()
-                .map(|(m, &n)| DenseMatrix::random(n, rank, 1 + m as u64))
-                .collect();
-            let factors: Vec<DeviceMatrix> = hosts
-                .iter()
-                .map(|f| DeviceMatrix::upload(device.memory(), f))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-            on_device.spmttkrp(&device, &refs, &cfg).map(|_| ())
-        }
-        TensorOp::SpTtmc { .. } => {
-            let pm = &fcoo.classification.product_modes;
-            let a_host = DenseMatrix::random(tensor.shape()[pm[0]], rank, 1);
-            let b_host = DenseMatrix::random(tensor.shape()[pm[1]], rank, 2);
-            let a = DeviceMatrix::upload(device.memory(), &a_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            let b = DeviceMatrix::upload(device.memory(), &b_host)
-                .map_err(|e| err(format!("device out of memory: {e}")))?;
-            on_device
-                .spttmc_norder(&device, &[&a, &b], &cfg)
-                .map(|_| ())
-        }
-    };
+    let hosts = random_factors(tensor.shape(), op, rank);
+    let factors = upload_factors(&device, &hosts)?;
+    let launch_result = launch_stats(&device, &on_device, &factors, &cfg);
     let log = device.stop_recording();
     launch_result.map_err(|e| err(format!("device out of memory: {e}")))?;
     let dynamic = sanitizer::analyze(&log);
@@ -1110,8 +1026,9 @@ pub fn oocbench(out_path: Option<&Path>, nnz: usize) -> Result<String, CliError>
             return Err(err(format!("oocbench chunk-plan lint: {lint}")));
         }
         let envelope = crate::ooc::pipeline_envelope(device.config(), &fcoo, &plan, rank, &cfg);
-        let run = crate::ooc::run_chunked(&device, &fcoo, &plan, &factors, &cfg)
-            .map_err(|e| err(format!("oocbench chunked replay: {e}")))?;
+        let run =
+            crate::ooc::run_chunked_format(&device, FormatKind::Fcoo, &fcoo, &plan, &factors, &cfg)
+                .map_err(|e| err(format!("oocbench chunked replay: {e}")))?;
         let bound_violations = crate::ooc::check_run(&envelope, &run);
         if let Some(violation) = bound_violations.first() {
             return Err(err(format!(
@@ -1423,6 +1340,43 @@ pub fn modelcheck() -> Result<String, CliError> {
     }
 }
 
+/// Random rank-`rank` factors for `op` in the kernels' factor order
+/// ([`TensorOp::factor_modes`]), the `i`-th seeded `1 + i`.
+fn random_factors(shape: &[usize], op: TensorOp, rank: usize) -> Vec<DenseMatrix> {
+    op.factor_modes(shape.len())
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| DenseMatrix::random(shape[m], rank, 1 + i as u64))
+        .collect()
+}
+
+fn upload_factors(
+    device: &GpuDevice,
+    hosts: &[DenseMatrix],
+) -> Result<Vec<DeviceMatrix>, CliError> {
+    hosts
+        .iter()
+        .map(|f| DeviceMatrix::upload(device.memory(), f))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| err(format!("device out of memory: {e}")))
+}
+
+/// Launches the kernel `format` was preprocessed for and returns its
+/// statistics.
+fn launch_stats(
+    device: &GpuDevice,
+    format: &AnyFormatDevice,
+    factors: &[DeviceMatrix],
+    cfg: &LaunchConfig,
+) -> Result<KernelStats, gpu_sim::OutOfMemory> {
+    let refs: Vec<&DeviceMatrix> = factors.iter().collect();
+    match format.base().op {
+        TensorOp::SpTtm { .. } => format.spttm(device, refs[0], cfg).map(|(_, s)| s),
+        TensorOp::SpMttkrp { .. } => format.spmttkrp(device, &refs, cfg).map(|(_, s)| s),
+        TensorOp::SpTtmc { .. } => format.spttmc_norder(device, &refs, cfg).map(|(_, s)| s),
+    }
+}
+
 fn check_mode(tensor: &SparseTensorCoo, mode: usize) -> Result<(), CliError> {
     if mode >= tensor.order() {
         return Err(err(format!(
@@ -1700,6 +1654,23 @@ mod tests {
         for op in ["spttm", "ttmc"] {
             let text = sanitize(&tensor, op, 2, 4).unwrap();
             assert!(text.contains("no issues found"), "{op}: {text}");
+        }
+    }
+
+    #[test]
+    fn ttmc_runs_on_tensors_of_any_order() {
+        // SpTTMc takes one factor per product mode: three on a 4-order
+        // tensor, one on a 2-order tensor.
+        for shape in [vec![10usize, 8, 12, 6], vec![40, 30]] {
+            let tensor = datasets::generate_norder(&shape, 600, 0.5, 3);
+            let order = shape.len();
+            let path = std::env::temp_dir().join(format!("tensortool_test_ttmc{order}.fcoo"));
+            preprocess(&tensor, "ttmc", 1, &path).unwrap();
+            let ran = run_cached(&path, 2).unwrap();
+            assert!(ran.contains("SpTTMc(mode-2)"), "order {order}: {ran}");
+            std::fs::remove_file(&path).ok();
+            let text = sanitize(&tensor, "ttmc", 0, 2).unwrap();
+            assert!(text.contains("no issues found"), "order {order}: {text}");
         }
     }
 

@@ -89,29 +89,34 @@ fn run_unified(
     // Host-side, header-only: touches nothing on the device, so the traced
     // counters below stay byte-identical to the pre-certifier suite.
     let envelope = analyzer::cost::certify(config, &fcoo, RANK, &cfg);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("golden upload");
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+        .expect("golden upload");
     let hosts = factors(tensor);
     let uploaded: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("golden factor upload"))
         .collect();
+    let refs: Vec<&DeviceMatrix> = op
+        .factor_modes(tensor.order())
+        .into_iter()
+        .map(|m| &uploaded[m])
+        .collect();
     device.start_tracing();
     match op {
-        TensorOp::SpTtm { mode } => {
-            spttm(device, &on_device, &uploaded[mode], &cfg).expect("golden spttm");
+        TensorOp::SpTtm { .. } => {
+            on_device
+                .spttm(device, refs[0], &cfg)
+                .expect("golden spttm");
         }
         TensorOp::SpMttkrp { .. } => {
-            let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
-            spmttkrp(device, &on_device, &refs, &cfg).expect("golden spmttkrp");
+            on_device
+                .spmttkrp(device, &refs, &cfg)
+                .expect("golden spmttkrp");
         }
         TensorOp::SpTtmc { .. } => {
-            let product: Vec<&DeviceMatrix> = on_device
-                .classification
-                .product_modes
-                .iter()
-                .map(|&m| &uploaded[m])
-                .collect();
-            crate::fcoo::spttmc_norder(device, &on_device, &product, &cfg).expect("golden spttmc");
+            on_device
+                .spttmc_norder(device, &refs, &cfg)
+                .expect("golden spttmc");
         }
     }
     let counters = device.stop_tracing().counters();
@@ -140,7 +145,8 @@ fn run_atomic_mttkrp(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenR
     let op = TensorOp::SpMttkrp { mode: MODE };
     let fcoo = Fcoo::from_coo(tensor, op, threadlen);
     let envelope = analyzer::cost::certify(config, &fcoo, RANK, &cfg);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("golden upload");
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+        .expect("golden upload");
     let hosts = factors(tensor);
     let uploaded: Vec<DeviceMatrix> = hosts
         .iter()
@@ -148,7 +154,9 @@ fn run_atomic_mttkrp(config: &DeviceConfig, tensor: &SparseTensorCoo) -> GoldenR
         .collect();
     let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
     device.start_tracing();
-    spmttkrp(device, &on_device, &refs, &cfg).expect("golden atomic mttkrp");
+    on_device
+        .spmttkrp(device, &refs, &cfg)
+        .expect("golden atomic mttkrp");
     let counters = device.stop_tracing().counters();
     GoldenRun {
         kernel: "mttkrp-atomic",
@@ -234,7 +242,8 @@ fn run_chunked_mttkrp(
     let envelope = analyzer::cost::certify_chunked(config, &fcoo, &plan, RANK, &cfg);
     let hosts = factors(tensor);
     device.start_tracing();
-    crate::ooc::run_chunked(device, &fcoo, &plan, &hosts, &cfg).expect("golden chunked mttkrp");
+    crate::ooc::run_chunked_format(device, FormatKind::Fcoo, &fcoo, &plan, &hosts, &cfg)
+        .expect("golden chunked mttkrp");
     let counters = device.stop_tracing().counters();
     GoldenRun {
         kernel,

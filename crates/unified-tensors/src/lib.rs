@@ -34,7 +34,7 @@
 //! // Preprocess into F-COO for MTTKRP on mode 1 and ship to the simulated GPU.
 //! let device = GpuDevice::titan_x();
 //! let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
-//! let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+//! let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).unwrap();
 //!
 //! // Dense factors, one per mode.
 //! let factors: Vec<DeviceMatrix> = tensor
@@ -44,9 +44,7 @@
 //!     .collect();
 //! let refs: Vec<&DeviceMatrix> = factors.iter().collect();
 //!
-//! let (m, stats) = unified_tensors::fcoo::spmttkrp(
-//!     &device, &on_device, &refs, &LaunchConfig::default(),
-//! ).unwrap();
+//! let (m, stats) = on_device.spmttkrp(&device, &refs, &LaunchConfig::default()).unwrap();
 //! assert_eq!((m.rows(), m.cols()), (100, 16));
 //! assert!(stats.time_us > 0.0);
 //! ```
@@ -75,8 +73,7 @@ pub mod prelude {
         UnifiedGpuEngine,
     };
     pub use fcoo::{
-        spmttkrp, spttm, spttmc, AnyFormat, BfCoo, DeviceMatrix, Fcoo, FcooDevice, FormatKind,
-        LaunchConfig, TensorOp,
+        AnyFormat, AnyFormatDevice, BfCoo, DeviceMatrix, Fcoo, FormatKind, LaunchConfig, TensorOp,
     };
     pub use gpu_sim::{DeviceConfig, GpuDevice, KernelStats};
     pub use serve::{ServeConfig, ServeEngine, ServeReport, Workload};

@@ -30,15 +30,16 @@ fn main() {
     let mut unified_times = Vec::new();
     for mode in 0..3 {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode }, 16);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
         let factors: Vec<DeviceMatrix> = factor_hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
             .collect();
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (_, stats) =
-            unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-                .expect("kernel");
+        let (_, stats) = on_device
+            .spmttkrp(&device, &refs, &LaunchConfig::default())
+            .expect("kernel");
         unified_times.push(stats.time_us);
     }
     print_row("unified", &unified_times);

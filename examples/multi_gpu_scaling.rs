@@ -1,11 +1,12 @@
 //! Multi-GPU strong scaling of SpMTTKRP (paper §IV-D: "For very large
 //! tensors, multiple-GPUs can be used") plus the preprocessing cache:
-//! F-COO is built once, serialized, reloaded, and the non-zeros are split
-//! across 1–4 simulated Titan X cards.
+//! F-COO is built once, serialized, reloaded, and its partition-aligned
+//! chunk plan is placed across 1–4 simulated Titan X cards.
 //!
 //! Run with: `cargo run --release --example multi_gpu_scaling`
 
-use unified_tensors::fcoo::{read_fcoo, spmttkrp_multi_gpu, write_fcoo};
+use unified_tensors::fcoo::{read_fcoo, write_fcoo};
+use unified_tensors::ooc::spmttkrp_multi_gpu;
 use unified_tensors::prelude::*;
 
 fn main() {
@@ -45,7 +46,7 @@ fn main() {
     for device_count in [1usize, 2, 4] {
         let devices: Vec<GpuDevice> = (0..device_count).map(|_| GpuDevice::titan_x()).collect();
         let (result, stats) =
-            spmttkrp_multi_gpu(&devices, &tensor, 0, &refs, 16, &LaunchConfig::default())
+            spmttkrp_multi_gpu(&devices, &tensor, 0, &hosts, 16, &LaunchConfig::default())
                 .expect("fits on each card");
         let diff = result.max_abs_diff(&reference);
         assert!(diff < 1e-2, "multi-GPU result diverged: {diff}");

@@ -25,11 +25,12 @@ fn main() {
         fcoo.storage().total_bytes() as f64 / 1024.0,
         fcoo.storage().paper_model_bytes() / fcoo.nnz(),
     );
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let u = DeviceMatrix::upload(device.memory(), &u_host).expect("upload");
-    let (result, stats) =
-        unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
-            .expect("SpTTM");
+    let (result, stats) = on_device
+        .spttm(&device, &u, &LaunchConfig::default())
+        .expect("SpTTM");
     let reference = unified_tensors::tensor_core::ops::spttm(&tensor, 2, &u_host);
     let diff = result
         .max_abs_diff(&reference)
@@ -48,15 +49,16 @@ fn main() {
         .map(|(m, &n)| DenseMatrix::random(n, rank, 100 + m as u64))
         .collect();
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let factors: Vec<DeviceMatrix> = factor_hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let (m, stats) =
-        unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-            .expect("SpMTTKRP");
+    let (m, stats) = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
+        .expect("SpMTTKRP");
     let host_refs: Vec<&DenseMatrix> = factor_hosts.iter().collect();
     let reference = unified_tensors::tensor_core::ops::spmttkrp(&tensor, 0, &host_refs);
     println!(

@@ -65,7 +65,7 @@ fn launch(
         TensorOp::SpTtm { mode } => {
             let u = upload(mode, ranks.0);
             let out = zeroed(base.segments() * ranks.0);
-            let stats = format.spttm_into(&device, &u, cfg, &out);
+            let stats = format.launch_into(&device, &[&u], cfg, &out);
             (out, stats)
         }
         TensorOp::SpMttkrp { mode } => {
@@ -73,7 +73,7 @@ fn launch(
                 (0..tensor.order()).map(|m| upload(m, ranks.0)).collect();
             let refs: Vec<&DeviceMatrix> = factors.iter().collect();
             let out = zeroed(tensor.shape()[mode] * ranks.0);
-            let stats = format.spmttkrp_into(&device, &refs, cfg, &out);
+            let stats = format.launch_into(&device, &refs, cfg, &out);
             (out, stats)
         }
         TensorOp::SpTtmc { mode } => {
@@ -83,7 +83,7 @@ fn launch(
             ];
             let refs: Vec<&DeviceMatrix> = factors.iter().collect();
             let out = zeroed(tensor.shape()[mode] * ranks.0 * ranks.1);
-            let stats = format.spttmc_norder_into(&device, &refs, cfg, &out);
+            let stats = format.launch_into(&device, &refs, cfg, &out);
             (out, stats)
         }
     };

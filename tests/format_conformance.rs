@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use unified_tensors::fcoo::chunk;
-use unified_tensors::ooc::{run_chunked, run_chunked_format};
+use unified_tensors::ooc::run_chunked_format;
 use unified_tensors::prelude::*;
 
 fn bits(values: &[f32]) -> Vec<u32> {
@@ -212,7 +212,15 @@ proptest! {
         let plan = chunk::split(&fcoo, budget);
         prop_assert!(plan.len() >= 2, "budget {} left {} chunk(s)", budget, plan.len());
         let cfg = LaunchConfig::default();
-        let strided = run_chunked(&GpuDevice::titan_x(), &fcoo, &plan, &factors, &cfg).unwrap();
+        let strided = run_chunked_format(
+            &GpuDevice::titan_x(),
+            FormatKind::Fcoo,
+            &fcoo,
+            &plan,
+            &factors,
+            &cfg,
+        )
+        .unwrap();
         let bucketed = run_chunked_format(
             &GpuDevice::titan_x(),
             FormatKind::BfCoo,

@@ -72,10 +72,10 @@ proptest! {
         let device = GpuDevice::titan_x();
         let u_host = DenseMatrix::random(tensor.shape()[mode], 5, 77);
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode }, threadlen);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).unwrap();
         let u = DeviceMatrix::upload(device.memory(), &u_host).unwrap();
         let cfg = LaunchConfig { block_size, ..Default::default() };
-        let (result, _) = unified_tensors::fcoo::spttm(&device, &on_device, &u, &cfg).unwrap();
+        let (result, _) = on_device.spttm(&device, &u, &cfg).unwrap();
         let reference = unified_tensors::tensor_core::ops::spttm(&tensor, mode, &u_host);
         let diff = result.max_abs_diff(&reference).expect("fiber sets must match");
         prop_assert!(diff < 1e-3, "diff {diff}");
@@ -106,14 +106,13 @@ proptest! {
             .collect();
         let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode }, threadlen);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).unwrap();
+        let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).unwrap();
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).unwrap())
             .collect();
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (result, _) = unified_tensors::fcoo::spmttkrp(
-            &device, &on_device, &refs, &LaunchConfig::default(),
+        let (result, _) = on_device.spmttkrp(&device, &refs, &LaunchConfig::default(),
         ).unwrap();
         let reference = unified_tensors::tensor_core::ops::spmttkrp(&tensor, mode, &host_refs);
         prop_assert!(result.max_abs_diff(&reference) < 1e-3);

@@ -25,11 +25,12 @@ fn unified_spttm_matches_reference_on_4_order() {
         let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode }, 8);
         // Index modes are all but the product mode.
         assert_eq!(fcoo.classification.index_modes.len(), 3);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
         let u = DeviceMatrix::upload(device.memory(), &u_host).expect("upload");
-        let (result, _) =
-            unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
-                .expect("kernel");
+        let (result, _) = on_device
+            .spttm(&device, &u, &LaunchConfig::default())
+            .expect("kernel");
         let reference = ops::spttm(&tensor, mode, &u_host);
         let diff = result.max_abs_diff(&reference).expect("fiber sets");
         assert!(diff < 1e-3, "mode {mode} diff {diff}");
@@ -47,15 +48,16 @@ fn unified_spmttkrp_matches_reference_on_4_order() {
         // Three product modes → the per-non-zero product is a triple
         // Hadamard.
         assert_eq!(fcoo.classification.product_modes.len(), 3);
-        let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+        let on_device =
+            AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
         let factors: Vec<DeviceMatrix> = hosts
             .iter()
             .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
             .collect();
         let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-        let (result, stats) =
-            unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-                .expect("kernel");
+        let (result, stats) = on_device
+            .spmttkrp(&device, &refs, &LaunchConfig::default())
+            .expect("kernel");
         let reference = ops::spmttkrp(&tensor, mode, &host_refs);
         assert!(
             result.max_abs_diff(&reference) < 1e-3,
@@ -73,15 +75,16 @@ fn unified_spmttkrp_on_5_order() {
     let hosts = factor_hosts(&tensor, 4, 7);
     let host_refs: Vec<&DenseMatrix> = hosts.iter().collect();
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 2 }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let (result, _) =
-        unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-            .expect("kernel");
+    let (result, _) = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
+        .expect("kernel");
     let reference = ops::spmttkrp(&tensor, 2, &host_refs);
     assert!(result.max_abs_diff(&reference) < 1e-3);
 }

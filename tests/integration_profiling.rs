@@ -7,7 +7,7 @@
 //! run each of the four kernels — and a full serving workload — with
 //! tracing on and off and compare at the bit level.
 
-use unified_tensors::fcoo::{spmttkrp_two_step_unified, spttmc_norder};
+use unified_tensors::fcoo::spmttkrp_two_step_unified;
 use unified_tensors::prelude::*;
 
 fn tensor() -> SparseTensorCoo {
@@ -49,32 +49,31 @@ fn run_op(op: &str, traced: bool) -> (Vec<u32>, u64, Vec<u64>) {
                 other => panic!("unknown op {other}"),
             };
             let fcoo = Fcoo::from_coo(&tensor, tensor_op, 16);
-            let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+                .expect("upload");
             let uploaded: Vec<DeviceMatrix> = hosts
                 .iter()
                 .map(|f| DeviceMatrix::upload(device.memory(), f).expect("factor upload"))
                 .collect();
+            let refs: Vec<&DeviceMatrix> = tensor_op
+                .factor_modes(tensor.order())
+                .into_iter()
+                .map(|m| &uploaded[m])
+                .collect();
             match tensor_op {
-                TensorOp::SpTtm { mode } => {
-                    let (result, stats) =
-                        spttm(&device, &on_device, &uploaded[mode], &cfg).expect("spttm");
+                TensorOp::SpTtm { .. } => {
+                    let (result, stats) = on_device.spttm(&device, refs[0], &cfg).expect("spttm");
                     (result.values().to_vec(), stats.time_us)
                 }
                 TensorOp::SpMttkrp { .. } => {
-                    let refs: Vec<&DeviceMatrix> = uploaded.iter().collect();
                     let (result, stats) =
-                        spmttkrp(&device, &on_device, &refs, &cfg).expect("spmttkrp");
+                        on_device.spmttkrp(&device, &refs, &cfg).expect("spmttkrp");
                     (result.data().to_vec(), stats.time_us)
                 }
                 TensorOp::SpTtmc { .. } => {
-                    let product: Vec<&DeviceMatrix> = on_device
-                        .classification
-                        .product_modes
-                        .iter()
-                        .map(|&m| &uploaded[m])
-                        .collect();
-                    let (result, stats) =
-                        spttmc_norder(&device, &on_device, &product, &cfg).expect("spttmc");
+                    let (result, stats) = on_device
+                        .spttmc_norder(&device, &refs, &cfg)
+                        .expect("spttmc");
                     (result.data().to_vec(), stats.time_us)
                 }
             }

@@ -16,11 +16,12 @@ fn unified_spttm_equals_product_then_device_scan() {
 
     // Path A: the unified kernel.
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let u = DeviceMatrix::upload(device.memory(), &u_host).expect("upload");
-    let (kernel_result, _) =
-        unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
-            .expect("kernel");
+    let (kernel_result, _) = on_device
+        .spttm(&device, &u, &LaunchConfig::default())
+        .expect("kernel");
 
     // Path B: per-non-zero products (host) → device segmented scan →
     // segment totals at the scan's segment-final positions.
@@ -69,15 +70,16 @@ fn unified_mttkrp_equals_product_then_device_scan() {
         .collect();
 
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 16);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let (kernel_result, _) =
-        unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
-            .expect("kernel");
+    let (kernel_result, _) = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
+        .expect("kernel");
 
     let nnz = fcoo.nnz();
     let product_modes = &fcoo.classification.product_modes;

@@ -21,13 +21,15 @@ fn unified_mttkrp(
     threadlen: usize,
 ) -> (DenseMatrix, KernelStats) {
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpMttkrp { mode }, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    unified_tensors::fcoo::spmttkrp(device, &on_device, &refs, &LaunchConfig::default())
+    on_device
+        .spmttkrp(device, &refs, &LaunchConfig::default())
         .expect("kernel")
 }
 
@@ -105,13 +107,15 @@ fn unified_uses_far_less_gpu_memory_than_parti() {
     let device = GpuDevice::titan_x();
     device.memory().reset_peak();
     let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpMttkrp { mode: 0 }, 8);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let factors: Vec<DeviceMatrix> = hosts
         .iter()
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let _ = unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default())
+    let _ = on_device
+        .spmttkrp(&device, &refs, &LaunchConfig::default())
         .expect("kernel");
     let unified_peak = device.memory().peak_bytes();
     drop((on_device, factors));
@@ -153,7 +157,8 @@ fn parti_ooms_where_unified_fits() {
         "ParTI's intermediate must exceed the scaled device memory"
     );
 
-    let on_device = FcooDevice::upload(device.memory(), &probe).expect("F-COO must fit");
+    let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &probe)
+        .expect("F-COO must fit");
     // A placeholder for the unused mode-0 factor (the kernel never reads it).
     let dummy = DenseMatrix::zeros(1, 16);
     let uploads = [&dummy, &hosts[1], &hosts[2]];
@@ -162,8 +167,7 @@ fn parti_ooms_where_unified_fits() {
         .map(|f| DeviceMatrix::upload(device.memory(), f).expect("upload"))
         .collect();
     let refs: Vec<&DeviceMatrix> = factors.iter().collect();
-    let result =
-        unified_tensors::fcoo::spmttkrp(&device, &on_device, &refs, &LaunchConfig::default());
+    let result = on_device.spmttkrp(&device, &refs, &LaunchConfig::default());
     assert!(
         result.is_ok(),
         "unified must complete in the same memory budget"
@@ -185,11 +189,12 @@ fn rank_scaling_favours_unified_at_every_rank() {
             let hosts = factor_hosts(&tensor, rank, 37);
             let u_host = &hosts[2];
             let fcoo = Fcoo::from_coo(&tensor, TensorOp::SpTtm { mode: 2 }, 8);
-            let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+            let on_device = AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo)
+                .expect("upload");
             let u = DeviceMatrix::upload(device.memory(), u_host).expect("upload");
-            let (_, stats) =
-                unified_tensors::fcoo::spttm(&device, &on_device, &u, &LaunchConfig::default())
-                    .expect("kernel");
+            let (_, stats) = on_device
+                .spttm(&device, &u, &LaunchConfig::default())
+                .expect("kernel");
             unified_times.push(stats.time_us);
             let prepared = SortedCoo::for_spttm(&tensor, 2);
             let (_, stats) = spttm_fiber_gpu(&device, &prepared, u_host).expect("kernel");

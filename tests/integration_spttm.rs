@@ -13,13 +13,14 @@ fn unified_spttm(
     block_size: usize,
 ) -> (SemiSparseTensor, KernelStats) {
     let fcoo = Fcoo::from_coo(tensor, TensorOp::SpTtm { mode }, threadlen);
-    let on_device = FcooDevice::upload(device.memory(), &fcoo).expect("upload");
+    let on_device =
+        AnyFormatDevice::upload_as(device.memory(), FormatKind::Fcoo, &fcoo).expect("upload");
     let u = DeviceMatrix::upload(device.memory(), u_host).expect("upload");
     let cfg = LaunchConfig {
         block_size,
         ..Default::default()
     };
-    unified_tensors::fcoo::spttm(device, &on_device, &u, &cfg).expect("kernel")
+    on_device.spttm(device, &u, &cfg).expect("kernel")
 }
 
 #[test]
